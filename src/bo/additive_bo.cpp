@@ -46,12 +46,7 @@ search::SearchResult AdditiveBo::run(search::Objective& objective,
     const double v = objective.evaluate(config);
     units.push_back(space.encode_unit(config));
     values.push_back(v);
-    if (v < result.best_value) {
-      result.best_value = v;
-      result.best_config = config;
-    }
-    result.values.push_back(v);
-    result.trajectory.push_back(result.best_value);
+    result.record(config, v);
 
     if (options_.regroup_hook) {
       auto revised = options_.regroup_hook(units, values);
@@ -149,7 +144,6 @@ search::SearchResult AdditiveBo::run(search::Objective& objective,
     ++iteration;
   }
 
-  result.evaluations = values.size();
   result.seconds = watch.seconds();
   return result;
 }

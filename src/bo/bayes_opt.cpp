@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
+#include <limits>
+#include <optional>
 
 #include "common/log.hpp"
 #include "common/stopwatch.hpp"
@@ -30,7 +31,123 @@ bool already_evaluated(const std::vector<search::Evaluation>& evals,
   });
 }
 
+/// Surrogate training data in unit coordinates, plus the incumbent.
+struct TrainingSet {
+  std::vector<std::vector<double>> units;
+  std::vector<double> targets;
+  double best_value = std::numeric_limits<double>::infinity();
+  std::vector<double> best_unit;
+
+  void add(std::vector<double> unit, double value) {
+    if (value < best_value) {
+      best_value = value;
+      best_unit = unit;
+    }
+    units.push_back(std::move(unit));
+    targets.push_back(value);
+  }
+};
+
+/// Any non-finite observation (NaN crash sentinel or an overflowed +inf
+/// timing) is a failure: it takes failure_penalty, or stays out when that is
+/// NaN — it never reaches the GP as is. Targets are clamped at timeout_value.
+TrainingSet training_set(const std::vector<search::Evaluation>& evals,
+                         const search::SearchSpace& space, const BoOptions& options) {
+  TrainingSet data;
+  for (const auto& e : evals) {
+    double value = e.value;
+    if (!std::isfinite(value)) {
+      if (std::isnan(options.failure_penalty)) continue;
+      value = options.failure_penalty;
+    }
+    data.add(space.encode_unit(e.config), std::min(value, options.timeout_value));
+  }
+  return data;
+}
+
+void observe_seconds(obs::Telemetry* telemetry, const char* histogram, double seconds) {
+  if (telemetry == nullptr || !telemetry->enabled()) return;
+  telemetry->metrics().histogram(histogram, obs::default_time_buckets()).observe(seconds);
+}
+
+/// The BO step both drivers share: fit `gp` to `data` (with a
+/// hyperparameter search when `hyperopt`), maximize the acquisition under
+/// the space's constraints, re-run the argmax up to duplicate_retries times
+/// while it lands on a configuration in `seen`, then fall back to a random
+/// valid sample. nullopt when there is nothing to fit or the fit fails; the
+/// caller picks its own fallback.
+std::optional<search::Config> propose(GaussianProcess& gp, const TrainingSet& data,
+                                      bool hyperopt,
+                                      const std::vector<search::Evaluation>& seen,
+                                      const search::SearchSpace& space, tunekit::Rng& rng,
+                                      const BoOptions& options) {
+  if (data.units.empty()) return std::nullopt;
+  linalg::Matrix x(data.units.size(), space.size());
+  for (std::size_t i = 0; i < data.units.size(); ++i) {
+    for (std::size_t k = 0; k < space.size(); ++k) x(i, k) = data.units[i][k];
+  }
+  try {
+    Stopwatch fit_watch;
+    if (hyperopt) {
+      gp.fit_with_hyperopt(std::move(x), data.targets, rng, options.hyperopt_restarts,
+                           options.hyperopt_max_iters);
+    } else {
+      gp.fit(std::move(x), data.targets);
+    }
+    observe_seconds(options.telemetry, obs::metric::kGpFitSeconds, fit_watch.seconds());
+  } catch (const std::exception& e) {
+    // Surrogate breakdown (e.g. all-identical targets).
+    log_warn("bo: surrogate fit failed (", e.what(), "); random fallback");
+    return std::nullopt;
+  }
+
+  auto accept_unit = [&](const std::vector<double>& u) {
+    return space.is_valid(space.decode_unit(u));
+  };
+  auto argmax = [&] {
+    return space.decode_unit(maximize_acquisition(gp, options.acquisition,
+                                                  options.acq_params, data.best_value,
+                                                  data.best_unit, rng, options.maximizer,
+                                                  accept_unit));
+  };
+  Stopwatch acq_watch;
+  search::Config proposal = argmax();
+  // Duplicate handling for small/discrete spaces.
+  for (std::size_t retries = 0;
+       already_evaluated(seen, proposal) && retries < options.duplicate_retries; ++retries) {
+    proposal = argmax();
+  }
+  if (already_evaluated(seen, proposal)) proposal = space.sample_valid(rng);
+  // Proposal-selection time including duplicate retries: each retry is a
+  // full argmax, and their cost is what this histogram exists to expose.
+  observe_seconds(options.telemetry, obs::metric::kAcqArgmaxSeconds, acq_watch.seconds());
+  return proposal;
+}
+
+GaussianProcess make_gp(const BoOptions& options) {
+  GaussianProcess gp(options.kernel);
+  if (options.transfer) {
+    const TransferPrior& prior = *options.transfer;
+    gp.set_prior_mean([&prior](const std::vector<double>& u) { return prior.mean_at(u); });
+  }
+  return gp;
+}
+
 }  // namespace
+
+std::vector<search::Config> BayesOpt::initial_design(const search::SearchSpace& space,
+                                                     std::size_t n,
+                                                     tunekit::Rng& rng) const {
+  switch (options_.init_design) {
+    case InitialDesign::LatinHypercube:
+      return search::sample_valid_configs(space, n, rng, /*latin_hypercube=*/true);
+    case InitialDesign::Sobol:
+      return search::SobolSequence::sample(space, n, options_.seed | 1);
+    case InitialDesign::UniformRandom:
+      return search::sample_valid_configs(space, n, rng, /*latin_hypercube=*/false);
+  }
+  return {};
+}
 
 search::SearchResult BayesOpt::run(search::Objective& objective,
                                    const search::SearchSpace& space) const {
@@ -45,13 +162,6 @@ search::SearchResult BayesOpt::run(search::Objective& objective,
   tunekit::Rng rng(options_.seed);
   obs::Telemetry* telemetry = options_.telemetry;
   const bool traced = telemetry != nullptr && telemetry->enabled();
-
-  // Crash recovery: restore prior evaluations if asked to.
-  if (options_.resume && !options_.checkpoint_path.empty() &&
-      std::filesystem::exists(options_.checkpoint_path)) {
-    db = search::EvalDb::load(options_.checkpoint_path, space);
-    log_info("bo: resumed ", db.size(), " evaluations from ", options_.checkpoint_path);
-  }
 
   auto evaluate_and_record = [&](const search::Config& config) {
     obs::ScopedSpan eval_span(telemetry, "eval");
@@ -80,19 +190,10 @@ search::SearchResult BayesOpt::run(search::Objective& objective,
     }
     const double seconds = eval_watch.seconds();
     eval_span.end();
-    if (traced) {
-      obs::outcome_counter(telemetry->metrics(), robust::to_string(outcome)).inc();
-      telemetry->metrics()
-          .histogram(obs::metric::kEvalSeconds, obs::default_time_buckets())
-          .observe(seconds);
-    }
+    if (traced) obs::outcome_counter(telemetry->metrics(), robust::to_string(outcome)).inc();
+    observe_seconds(telemetry, obs::metric::kEvalSeconds, seconds);
     if (robust::is_failure(outcome)) value = std::numeric_limits<double>::quiet_NaN();
     db.record(config, value, seconds, outcome);
-    if (!options_.checkpoint_path.empty() && options_.checkpoint_every > 0 &&
-        db.size() % options_.checkpoint_every == 0) {
-      db.save(options_.checkpoint_path);
-    }
-    return value;
   };
 
   // Warm start: source-task winners first (transfer learning).
@@ -106,146 +207,28 @@ search::SearchResult BayesOpt::run(search::Objective& objective,
     evaluate_and_record(config);
   }
 
-  // Initial design.
   if (db.size() < options_.n_init) {
-    const std::size_t missing = options_.n_init - db.size();
-    std::vector<search::Config> init;
-    switch (options_.init_design) {
-      case InitialDesign::LatinHypercube:
-        init = search::sample_valid_configs(space, missing, rng, /*latin_hypercube=*/true);
-        break;
-      case InitialDesign::Sobol:
-        init = search::SobolSequence::sample(space, missing, options_.seed | 1);
-        break;
-      case InitialDesign::UniformRandom:
-        init = search::sample_valid_configs(space, missing, rng, /*latin_hypercube=*/false);
-        break;
-    }
-    for (const auto& config : init) {
+    for (const auto& config : initial_design(space, options_.n_init - db.size(), rng)) {
       if (db.size() >= options_.max_evals) break;
       evaluate_and_record(config);
     }
   }
 
-  GaussianProcess gp(options_.kernel);
-  if (options_.transfer) {
-    const TransferPrior& prior = *options_.transfer;
-    gp.set_prior_mean([&prior](const std::vector<double>& u) { return prior.mean_at(u); });
-  }
-
-  auto accept_unit = [&](const std::vector<double>& u) {
-    return space.is_valid(space.decode_unit(u));
-  };
-
-  std::size_t iteration = 0;
-  while (db.size() < options_.max_evals) {
+  GaussianProcess gp = make_gp(options_);
+  for (std::size_t iteration = 0; db.size() < options_.max_evals; ++iteration) {
     obs::ScopedSpan iter_span(telemetry, "bo.iteration");
-    // Assemble training data in unit coordinates; clamp timeouts and handle
-    // failed evaluations per failure_penalty.
     const auto evals = db.all();
-    std::vector<std::vector<double>> unit_points;
-    std::vector<double> targets;
-    double best_value = std::numeric_limits<double>::infinity();
-    std::vector<double> best_unit;
-    for (const auto& e : evals) {
-      double value = e.value;
-      // Any non-finite observation (NaN crash sentinel or an overflowed +inf
-      // timing) is a failure: penalize or exclude, never feed it to the GP.
-      if (!std::isfinite(value)) {
-        if (std::isnan(options_.failure_penalty)) continue;  // exclude failures
-        value = options_.failure_penalty;
-      }
-      value = std::min(value, options_.timeout_value);
-      auto unit = space.encode_unit(e.config);
-      if (value < best_value) {
-        best_value = value;
-        best_unit = unit;
-      }
-      unit_points.push_back(std::move(unit));
-      targets.push_back(value);
-    }
-    if (unit_points.empty()) {
-      // Everything failed so far: explore at random.
-      evaluate_and_record(space.sample_valid(rng));
-      ++iteration;
-      continue;
-    }
-    linalg::Matrix x(unit_points.size(), space.size());
-    std::vector<double> y = std::move(targets);
-    for (std::size_t i = 0; i < unit_points.size(); ++i) {
-      for (std::size_t k = 0; k < space.size(); ++k) x(i, k) = unit_points[i][k];
-    }
-
-    try {
-      Stopwatch fit_watch;
-      if (options_.hyperopt_every > 0 && iteration % options_.hyperopt_every == 0) {
-        gp.fit_with_hyperopt(std::move(x), std::move(y), rng, options_.hyperopt_restarts,
-                             options_.hyperopt_max_iters);
-      } else {
-        gp.fit(std::move(x), std::move(y));
-      }
-      if (traced) {
-        telemetry->metrics()
-            .histogram(obs::metric::kGpFitSeconds, obs::default_time_buckets())
-            .observe(fit_watch.seconds());
-      }
-    } catch (const std::exception& e) {
-      // Surrogate breakdown (e.g. all-identical targets): fall back to a
-      // random valid evaluation and keep going — robustness over elegance.
-      log_warn("bo: surrogate fit failed (", e.what(), "); random fallback");
-      evaluate_and_record(space.sample_valid(rng));
-      ++iteration;
-      continue;
-    }
-
-    Stopwatch acq_watch;
-    std::vector<double> proposal_unit = maximize_acquisition(
-        gp, options_.acquisition, options_.acq_params, best_value, best_unit, rng,
-        options_.maximizer, accept_unit);
-    search::Config proposal = space.decode_unit(proposal_unit);
-
-    // Duplicate handling for small/discrete spaces.
-    std::size_t retries = 0;
-    while (already_evaluated(evals, proposal) && retries < options_.duplicate_retries) {
-      proposal_unit = maximize_acquisition(gp, options_.acquisition, options_.acq_params,
-                                           best_value, best_unit, rng, options_.maximizer,
-                                           accept_unit);
-      proposal = space.decode_unit(proposal_unit);
-      ++retries;
-    }
-    if (already_evaluated(evals, proposal)) {
-      proposal = space.sample_valid(rng);
-    }
-    // Proposal-selection time including duplicate retries: each retry is a
-    // full argmax, and their cost is what this histogram exists to expose.
-    if (traced) {
-      telemetry->metrics()
-          .histogram(obs::metric::kAcqArgmaxSeconds, obs::default_time_buckets())
-          .observe(acq_watch.seconds());
-    }
-
-    evaluate_and_record(proposal);
-    ++iteration;
+    const bool hyperopt =
+        options_.hyperopt_every > 0 && iteration % options_.hyperopt_every == 0;
+    auto proposal =
+        propose(gp, training_set(evals, space, options_), hyperopt, evals, space, rng, options_);
+    // Everything failed so far, or the surrogate broke down: explore at random.
+    evaluate_and_record(proposal ? std::move(*proposal) : space.sample_valid(rng));
   }
 
-  if (!options_.checkpoint_path.empty()) {
-    db.save(options_.checkpoint_path);
-  }
-
-  // Package the result.
   search::SearchResult result;
   result.method = "bo";
-  const auto evals = db.all();
-  result.values.reserve(evals.size());
-  for (const auto& e : evals) {
-    result.values.push_back(e.value);
-    if (std::isfinite(e.value) && e.value < result.best_value) {
-      result.best_value = e.value;
-      result.best_config = e.config;
-    }
-    result.trajectory.push_back(result.best_value);
-  }
-  result.evaluations = evals.size();
+  for (const auto& e : db.all()) result.record(e.config, e.value);
   result.seconds = watch.seconds();
   return result;
 }
@@ -254,95 +237,25 @@ std::vector<search::Config> BayesOpt::suggest_batch(const search::EvalDb& db,
                                                     const search::SearchSpace& space,
                                                     std::size_t k) const {
   const auto evals = db.all();
-  if (evals.empty()) {
-    throw std::invalid_argument("BayesOpt::suggest_batch: empty evaluation database");
+  // Observed data plus the growing liar set.
+  TrainingSet data = training_set(evals, space, options_);
+  if (data.units.empty()) {
+    throw std::invalid_argument("BayesOpt::suggest_batch: no usable evaluations");
   }
   tunekit::Rng rng(options_.seed ^ 0xba7c4);
-  obs::Telemetry* telemetry = options_.telemetry;
-  const bool traced = telemetry != nullptr && telemetry->enabled();
-
-  // Observed data plus the growing liar set.
-  std::vector<std::vector<double>> unit_points;
-  std::vector<double> y;
-  double best_value = std::numeric_limits<double>::infinity();
-  std::vector<double> best_unit;
-  for (const auto& e : evals) {
-    if (!std::isfinite(e.value)) continue;  // failed evaluations carry no target
-    unit_points.push_back(space.encode_unit(e.config));
-    const double v = std::min(e.value, options_.timeout_value);
-    y.push_back(v);
-    if (v < best_value) {
-      best_value = v;
-      best_unit = unit_points.back();
-    }
-  }
-  if (unit_points.empty()) {
-    throw std::invalid_argument("BayesOpt::suggest_batch: no successful evaluations");
-  }
-
-  auto accept_unit = [&](const std::vector<double>& u) {
-    return space.is_valid(space.decode_unit(u));
-  };
-
-  GaussianProcess gp(options_.kernel);
-  if (options_.transfer) {
-    const TransferPrior& prior = *options_.transfer;
-    gp.set_prior_mean([&prior](const std::vector<double>& u) { return prior.mean_at(u); });
-  }
-
+  GaussianProcess gp = make_gp(options_);
   std::vector<search::Config> batch;
-  std::vector<search::Evaluation> seen;
-  for (const auto& e : evals) seen.push_back(e);
-
+  std::vector<search::Evaluation> seen = evals;
   for (std::size_t b = 0; b < k; ++b) {
-    linalg::Matrix x(unit_points.size(), space.size());
-    for (std::size_t i = 0; i < unit_points.size(); ++i) {
-      for (std::size_t c = 0; c < space.size(); ++c) x(i, c) = unit_points[i][c];
-    }
-    try {
-      Stopwatch fit_watch;
-      if (b == 0) {
-        gp.fit_with_hyperopt(std::move(x), y, rng, options_.hyperopt_restarts,
-                             options_.hyperopt_max_iters);
-      } else {
-        gp.fit(std::move(x), y);
-      }
-      if (traced) {
-        telemetry->metrics()
-            .histogram(obs::metric::kGpFitSeconds, obs::default_time_buckets())
-            .observe(fit_watch.seconds());
-      }
-    } catch (const std::exception& e) {
-      log_warn("bo: suggest_batch surrogate failed (", e.what(), "); random fill");
+    auto proposal = propose(gp, data, /*hyperopt=*/b == 0, seen, space, rng, options_);
+    if (!proposal) {
       batch.push_back(space.sample_valid(rng));
       continue;
     }
-
-    Stopwatch acq_watch;
-    auto proposal_unit =
-        maximize_acquisition(gp, options_.acquisition, options_.acq_params, best_value,
-                             best_unit, rng, options_.maximizer, accept_unit);
-    search::Config proposal = space.decode_unit(proposal_unit);
-    std::size_t retries = 0;
-    while (already_evaluated(seen, proposal) && retries < options_.duplicate_retries) {
-      proposal_unit =
-          maximize_acquisition(gp, options_.acquisition, options_.acq_params, best_value,
-                               best_unit, rng, options_.maximizer, accept_unit);
-      proposal = space.decode_unit(proposal_unit);
-      ++retries;
-    }
-    if (already_evaluated(seen, proposal)) proposal = space.sample_valid(rng);
-    if (traced) {
-      telemetry->metrics()
-          .histogram(obs::metric::kAcqArgmaxSeconds, obs::default_time_buckets())
-          .observe(acq_watch.seconds());
-    }
-
     // Constant liar: pretend the proposal observed the incumbent best.
-    unit_points.push_back(space.encode_unit(proposal));
-    y.push_back(best_value);
-    seen.push_back({proposal, best_value, 0.0});
-    batch.push_back(std::move(proposal));
+    data.add(space.encode_unit(*proposal), data.best_value);
+    seen.push_back({*proposal, data.best_value, 0.0});
+    batch.push_back(std::move(*proposal));
   }
   return batch;
 }

@@ -8,11 +8,16 @@
 //
 // Features carried over from GPTune because the paper depends on them:
 //  * hard search-space constraints (candidates are filtered for validity),
-//  * crash recovery (JSON checkpoints via EvalDb; run() resumes from them),
+//  * crash tolerance (crashing evaluations are recorded, not fatal),
 //  * transfer learning (TransferPrior as GP prior mean).
+//
+// run() keeps its state in memory. Crash recovery is the session journal:
+// service::TuningSession (which takes its proposals from suggest_batch and
+// its initial design from initial_design) resumes a killed search.
 
+#include <limits>
 #include <optional>
-#include <string>
+#include <vector>
 
 #include "bo/acquisition.hpp"
 #include "bo/transfer.hpp"
@@ -56,11 +61,9 @@ struct BoOptions {
   /// configuration.
   std::size_t duplicate_retries = 3;
 
-  /// Checkpointing: empty path disables. When `resume` is true and the file
-  /// exists, previous evaluations are loaded and the budget continues from
-  /// there.
-  std::string checkpoint_path;
-  std::size_t checkpoint_every = 10;
+  /// Pick a killed search back up from its session journal. Read only by
+  /// core::PlanExecutor's session-scheduler path (with a checkpoint_dir);
+  /// run() itself keeps no durable state.
   bool resume = false;
 
   /// Optional transfer-learning prior fitted on a source task.
@@ -95,8 +98,7 @@ class BayesOpt {
 
   const BoOptions& options() const { return options_; }
 
-  /// Run the search. The returned SearchResult's trajectory includes any
-  /// checkpoint-restored evaluations first.
+  /// Run the search.
   search::SearchResult run(search::Objective& objective,
                            const search::SearchSpace& space) const;
 
@@ -108,10 +110,17 @@ class BayesOpt {
   /// Suggest `k` configurations to evaluate in parallel, without evaluating
   /// anything (constant-liar batching): each accepted suggestion is added to
   /// the surrogate as a pseudo-observation at the incumbent best value, so
-  /// later suggestions explore elsewhere. Requires a non-empty database.
+  /// later suggestions explore elsewhere. Failed evaluations enter the
+  /// surrogate as run() feeds them (failure_penalty, or not at all). Throws
+  /// std::invalid_argument when no evaluation is usable.
   std::vector<search::Config> suggest_batch(const search::EvalDb& db,
                                             const search::SearchSpace& space,
                                             std::size_t k) const;
+
+  /// `n` initial-design configurations of kind init_design. Latin hypercube
+  /// and uniform designs draw from `rng`; Sobol is seeded from `seed`.
+  std::vector<search::Config> initial_design(const search::SearchSpace& space,
+                                             std::size_t n, tunekit::Rng& rng) const;
 
  private:
   BoOptions options_;

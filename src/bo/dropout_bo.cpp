@@ -27,12 +27,7 @@ search::SearchResult DropoutBo::run(search::Objective& objective,
     configs.push_back(config);
     units.push_back(space.encode_unit(config));
     values.push_back(v);
-    if (v < result.best_value) {
-      result.best_value = v;
-      result.best_config = config;
-    }
-    result.values.push_back(v);
-    result.trajectory.push_back(result.best_value);
+    result.record(config, v);
   };
 
   for (const auto& config : search::sample_valid_configs(
@@ -96,7 +91,6 @@ search::SearchResult DropoutBo::run(search::Objective& objective,
     ++iteration;
   }
 
-  result.evaluations = values.size();
   result.seconds = watch.seconds();
   return result;
 }

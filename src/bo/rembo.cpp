@@ -50,12 +50,7 @@ search::SearchResult Rembo::run(search::Objective& objective,
     const double v = objective.evaluate(config);
     y_points.push_back(y);
     values.push_back(v);
-    if (v < result.best_value) {
-      result.best_value = v;
-      result.best_config = config;
-    }
-    result.values.push_back(v);
-    result.trajectory.push_back(result.best_value);
+    result.record(config, v);
     return true;
   };
 
@@ -123,7 +118,6 @@ search::SearchResult Rembo::run(search::Objective& objective,
     ++iteration;
   }
 
-  result.evaluations = values.size();
   result.seconds = watch.seconds();
   return result;
 }

@@ -1,9 +1,9 @@
 #pragma once
 // Minimal self-contained JSON value type with parser and serializer.
 //
-// Used for the evaluation-database checkpoint files that give tunekit the
-// crash-recovery capability the paper values in GPTune: a killed search can
-// be resumed from the evaluations persisted so far.
+// Used for the session journals and their evaluation-database snapshots,
+// which give tunekit the crash-recovery capability the paper values in
+// GPTune: a killed search resumes from the evaluations persisted so far.
 
 #include <cstdint>
 #include <map>

@@ -74,8 +74,10 @@ ExecutionResult PlanExecutor::execute(TunableApp& app,
     base = space.sample_valid(rng);
   }
 
-  if (!options_.checkpoint_dir.empty()) {
+  if (!options_.checkpoint_dir.empty() && options_.session_scheduler) {
     std::filesystem::create_directories(options_.checkpoint_dir);
+  } else if (!options_.checkpoint_dir.empty()) {
+    log_warn("executor: without session_scheduler, searches write no journal");
   }
 
   std::size_t search_counter = 0;
@@ -202,10 +204,6 @@ ExecutionResult PlanExecutor::execute(TunableApp& app,
         bo_opts.telemetry = telemetry;
         bo_opts.max_evals = budget;
         bo_opts.seed = options_.bo.seed + 7919 * (search_id + 1);
-        if (!options_.checkpoint_dir.empty()) {
-          bo_opts.checkpoint_path =
-              options_.checkpoint_dir + "/search_" + std::to_string(search_id) + ".json";
-        }
         bo::BayesOpt driver(bo_opts);
         result = driver.run(driver_obj, sub_obj.space());
       }

@@ -61,13 +61,14 @@ struct ExecutorOptions {
   /// are asked in constant-liar batches and evaluated concurrently on
   /// n_threads workers — *intra-search* parallelism, which pays off when a
   /// single evaluation is expensive. Requires a thread-safe app; stage-level
-  /// search parallelism is disabled to avoid nesting thread pools. With a
-  /// checkpoint_dir set, each search journals to
-  /// <dir>/search_<id>.journal.jsonl and bo.resume picks a killed search
-  /// back up with its in-flight candidates re-issued.
+  /// search parallelism is disabled to avoid nesting thread pools.
   bool session_scheduler = false;
 
-  /// Directory for per-search checkpoint files; empty disables.
+  /// Directory for the per-search session journals
+  /// (<dir>/search_<id>.journal.jsonl) that session_scheduler searches write;
+  /// bo.resume picks a killed run back up from them, with in-flight
+  /// candidates re-issued. The blocking drivers keep no durable state, so
+  /// without session_scheduler nothing is journaled. Empty disables.
   std::string checkpoint_dir;
 
   /// Hardened-evaluation settings applied to every search evaluation:

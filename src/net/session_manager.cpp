@@ -5,6 +5,7 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -276,6 +277,9 @@ json::Value SessionManager::create(const json::Value& spec) {
     inserted = true;
   }
 
+  // The reply is built under the entry lock: once the lock is released, any
+  // eviction sweep (this request's own included) may drop the new session.
+  json::Object body;
   try {
     std::lock_guard<std::mutex> entry_lock(entry->mutex);
     materialize(*entry, /*resume_from_journal=*/false);
@@ -284,6 +288,12 @@ json::Value SessionManager::create(const json::Value& spec) {
       // everything needed to rebuild the space and options.
       json::save_atomic(spec_path(id), entry->spec);
     }
+    body["id"] = json::Value(id);
+    body["backend"] = json::Value(
+        std::string(to_string(entry->session->options().backend)));
+    body["space_size"] = json::Value(entry->space->size());
+    body["max_evals"] = json::Value(entry->session->options().max_evals);
+    body["state"] = json::Value(to_string(entry->session->state()));
   } catch (...) {
     Shard& shard = shard_for(id);
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -295,14 +305,6 @@ json::Value SessionManager::create(const json::Value& spec) {
 
   count("tunekit_sessions_created_total");
   evict_excess();
-
-  json::Object body;
-  body["id"] = json::Value(id);
-  body["backend"] = json::Value(
-      std::string(to_string(entry->session->options().backend)));
-  body["space_size"] = json::Value(entry->space->size());
-  body["max_evals"] = json::Value(entry->session->options().max_evals);
-  body["state"] = json::Value(to_string(entry->session->state()));
   return json::Value(std::move(body));
 }
 
@@ -661,18 +663,25 @@ std::size_t SessionManager::resident() const {
 // skipped — eviction must never block or deadlock a request.
 void SessionManager::evict_excess() {
   if (options_.journal_dir.empty()) return;
-  auto entries = all_entries();
+  // Snapshot last_used under each shard lock: find_or_load rewrites it under
+  // that lock, and sorting on the live field would race with it.
+  std::vector<std::pair<std::chrono::steady_clock::time_point, std::shared_ptr<Entry>>>
+      entries;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    for (const auto& [id, entry] : shard->map) entries.emplace_back(entry->last_used, entry);
+  }
   std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a->last_used < b->last_used; });
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   // Count residents with a non-blocking pass; stale counts only make
   // eviction slightly late, never wrong.
   std::size_t live = 0;
-  for (const auto& entry : entries) {
+  for (const auto& [used, entry] : entries) {
     std::unique_lock<std::mutex> lock(entry->mutex, std::try_to_lock);
     if (!lock.owns_lock() || entry->session) ++live;
   }
   if (live <= options_.max_resident) return;
-  for (const auto& entry : entries) {
+  for (const auto& [used, entry] : entries) {
     if (live <= options_.max_resident) break;
     std::unique_lock<std::mutex> lock(entry->mutex, std::try_to_lock);
     if (!lock.owns_lock() || !entry->session) continue;

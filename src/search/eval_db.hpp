@@ -1,8 +1,8 @@
 #pragma once
 // Evaluation database: every (configuration, objective) pair observed during
-// a search, with JSON persistence. This provides the crash-recovery property
-// the paper values in GPTune: a search killed mid-way resumes from the
-// evaluations already on disk instead of re-running them.
+// a search, with JSON persistence. The persisted form is the snapshot a
+// compacted session journal references (service::SessionStore); the journal,
+// not this file on its own, is what resumes a killed search.
 
 #include <limits>
 #include <map>
@@ -77,10 +77,10 @@ class EvalDb {
   /// This is the series Figure 6 plots.
   std::vector<double> best_trajectory() const;
 
-  /// Persist to / restore from a JSON checkpoint. The space is used to
+  /// Persist to / restore from a JSON snapshot. The space is used to
   /// validate arity on load; non-conforming entries are rejected with
   /// std::runtime_error. `io` (null = the real filesystem) routes the
-  /// checkpoint write through the fault-injection seam.
+  /// snapshot write through the fault-injection seam.
   void save(const std::string& path, common::Io* io = nullptr) const;
   static EvalDb load(const std::string& path, const SearchSpace& space);
 

@@ -31,14 +31,8 @@ SearchResult GridSearch::run(Objective& objective, const SearchSpace& space) con
     } catch (...) {
       log_warn("grid: evaluation threw a non-standard exception; recording as failure");
     }
-    result.values.push_back(v);
-    if (std::isfinite(v) && v < result.best_value) {
-      result.best_value = v;
-      result.best_config = grid[i];
-    }
-    result.trajectory.push_back(result.best_value);
+    result.record(grid[i], v);
   }
-  result.evaluations = result.values.size();
   result.seconds = watch.seconds();
   return result;
 }

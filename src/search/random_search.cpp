@@ -45,16 +45,7 @@ SearchResult RandomSearch::run(Objective& objective, const SearchSpace& space) c
     for (std::size_t i = 0; i < configs.size(); ++i) eval_one(i);
   }
 
-  result.values = values;
-  result.trajectory.reserve(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (std::isfinite(values[i]) && values[i] < result.best_value) {
-      result.best_value = values[i];
-      result.best_config = configs[i];
-    }
-    result.trajectory.push_back(result.best_value);
-  }
-  result.evaluations = values.size();
+  for (std::size_t i = 0; i < values.size(); ++i) result.record(configs[i], values[i]);
   result.seconds = watch.seconds();
   return result;
 }

@@ -1,6 +1,7 @@
 #pragma once
 // Result type shared by every search driver (random, grid, BO).
 
+#include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
@@ -26,6 +27,18 @@ struct SearchResult {
   double seconds = 0.0;
 
   bool found() const { return evaluations > 0 && best_config.size() > 0; }
+
+  /// Append one evaluation: its value, the incumbent (finite values only)
+  /// and the best-so-far trajectory.
+  void record(const Config& config, double value) {
+    values.push_back(value);
+    if (std::isfinite(value) && value < best_value) {
+      best_value = value;
+      best_config = config;
+    }
+    trajectory.push_back(best_value);
+    evaluations = values.size();
+  }
 };
 
 }  // namespace tunekit::search

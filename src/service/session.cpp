@@ -7,7 +7,6 @@
 #include "common/log.hpp"
 #include "obs/telemetry.hpp"
 #include "search/samplers.hpp"
-#include "search/sobol.hpp"
 
 namespace tunekit::service {
 
@@ -78,8 +77,6 @@ bo::BoOptions surrogate_options(const SessionOptions& o) {
   b.max_evals = o.max_evals;
   b.n_init = o.n_init;
   b.failure_penalty = o.failure_penalty;
-  b.checkpoint_path.clear();
-  b.resume = false;
   if (b.telemetry == nullptr) b.telemetry = o.telemetry;
   return b;
 }
@@ -108,19 +105,9 @@ TuningSession::TuningSession(const search::SearchSpace& space, SessionOptions op
     if (options_.event_hook) store_->set_event_hook(options_.event_hook);
   }
   if (options_.backend == SessionBackend::Bo && options_.n_init > 0) {
-    const std::size_t n = std::min(options_.n_init, options_.max_evals);
     tunekit::Rng rng(options_.seed);
-    switch (options_.bo.init_design) {
-      case bo::InitialDesign::LatinHypercube:
-        init_design_ = search::sample_valid_configs(space_, n, rng, /*latin_hypercube=*/true);
-        break;
-      case bo::InitialDesign::Sobol:
-        init_design_ = search::SobolSequence::sample(space_, n, options_.seed | 1);
-        break;
-      case bo::InitialDesign::UniformRandom:
-        init_design_ = search::sample_valid_configs(space_, n, rng, /*latin_hypercube=*/false);
-        break;
-    }
+    init_design_ =
+        bo_.initial_design(space_, std::min(options_.n_init, options_.max_evals), rng);
   }
   if (options_.backend == SessionBackend::Grid) {
     grid_ = search::grid_configs(space_, options_.grid_real_levels);
@@ -569,14 +556,10 @@ std::vector<search::Config> TuningSession::generate_locked(std::size_t n) {
   // Constant-liar batch: every unresolved candidate — pending, queued, and
   // the ones generated above — enters the surrogate at the incumbent best,
   // so repeated asks without tells still explore distinct regions.
-  const auto evals = db_.all();
-  double incumbent = std::numeric_limits<double>::infinity();
-  for (const auto& e : evals) {
-    if (std::isfinite(e.value) && e.value < incumbent) incumbent = e.value;
-  }
-  if (std::isfinite(incumbent)) {
+  if (const auto best = db_.best()) {
+    const double incumbent = best->value;
     search::EvalDb liar_db;
-    for (const auto& e : evals) liar_db.record(e.config, e.value, e.cost_seconds);
+    for (const auto& e : db_.all()) liar_db.record(e.config, e.value, e.cost_seconds);
     for (const auto& [id, p] : pending_) liar_db.record(p.candidate.config, incumbent);
     for (const auto& c : reissue_) liar_db.record(c.config, incumbent);
     for (const auto& cfg : out) liar_db.record(cfg, incumbent);
@@ -645,17 +628,7 @@ search::SearchResult TuningSession::to_result() const {
   std::lock_guard<std::mutex> lock(mutex_);
   search::SearchResult result;
   result.method = std::string("session-") + to_string(options_.backend);
-  const auto evals = db_.all();
-  result.values.reserve(evals.size());
-  for (const auto& e : evals) {
-    result.values.push_back(e.value);
-    if (std::isfinite(e.value) && e.value < result.best_value) {
-      result.best_value = e.value;
-      result.best_config = e.config;
-    }
-    result.trajectory.push_back(result.best_value);
-  }
-  result.evaluations = evals.size();
+  for (const auto& e : db_.all()) result.record(e.config, e.value);
   result.seconds = watch_.seconds();
   return result;
 }

@@ -63,8 +63,8 @@ struct SessionOptions {
   std::size_t n_init = 5;
 
   SessionBackend backend = SessionBackend::Bo;
-  /// Surrogate/acquisition settings for the Bo backend. Its budget,
-  /// checkpoint, and seed fields are ignored — the session's own fields
+  /// Surrogate/acquisition settings for the Bo backend. Its budget, seed,
+  /// and failure_penalty fields are ignored — the session's own fields
   /// govern those.
   bo::BoOptions bo;
 
@@ -74,8 +74,9 @@ struct SessionOptions {
   double deadline_seconds = std::numeric_limits<double>::infinity();
   /// Total issue attempts per candidate before it is dropped.
   std::size_t max_attempts = 3;
-  /// Value recorded for a dropped candidate (NaN keeps it out of the
-  /// surrogate but still consumes budget; mirrors BoOptions::failure_penalty).
+  /// Value recorded for a dropped candidate, and the value the surrogate
+  /// sees for any non-finite result (NaN keeps them out of the surrogate but
+  /// still consumes budget); the session's BoOptions::failure_penalty.
   double failure_penalty = std::numeric_limits<double>::quiet_NaN();
 
   /// Levels used to discretize Real parameters (Grid backend).

@@ -727,7 +727,7 @@ void SessionStore::compact(
   header.format = framed_ ? kFormatV2 : kFormatV1;
   header.seq = seq_;
 
-  // 1. Completed evaluations become an EvalDb checkpoint (atomic rename
+  // 1. Completed evaluations become an EvalDb snapshot (atomic rename
   //    inside EvalDb::save), referenced from the rewritten header.
   const std::string snapshot = path_ + ".snapshot.json";
   search::EvalDb db;

@@ -4,9 +4,8 @@
 // Every ask/tell event of a session is appended as one compact JSON line and
 // fsync'd, so a session killed mid-batch loses nothing: replaying the journal
 // reconstructs the completed evaluations *and* the in-flight candidates that
-// were issued but never resolved — strictly stronger crash recovery than the
-// EvalDb checkpoints, which only persist completed evaluations every
-// `checkpoint_every` steps.
+// were issued but never resolved. It is the only crash-recovery mechanism:
+// the blocking BayesOpt::run keeps its state in memory.
 //
 // Record framing (format "tunekit-session-v2"): every journal line is
 //

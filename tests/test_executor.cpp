@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -34,6 +35,7 @@ class StagedApp final : public TunableApp {
   std::vector<std::string> outer_regions() const override { return {"Outer"}; }
 
   search::RegionTimes evaluate_regions(const search::Config& c) override {
+    ++calls;
     const double chunk_penalty = 1.0 + 8.0 / c[0];
     const double ta = (1.0 + std::abs(std::log2(c[1] / 4.0))) * chunk_penalty;
     const double tb = (1.0 + std::abs(std::log2(c[2] / 2.0))) * chunk_penalty;
@@ -46,6 +48,8 @@ class StagedApp final : public TunableApp {
   }
 
   bool thread_safe() const override { return true; }
+
+  std::atomic<std::size_t> calls{0};
 
  private:
   search::SearchSpace space_;
@@ -326,11 +330,14 @@ TEST(PlanExecutor, SessionSchedulerJournalsAndResumes) {
   }
   EXPECT_EQ(journals, plan.searches.size());
 
-  // A rerun with resume picks the finished journals up and still produces a
-  // valid result (every search is already exhausted, so no new evals).
+  // A rerun with resume picks the finished journals up: every search is
+  // already exhausted, so the only evaluation is the final confirming
+  // measurement, and the tuned configuration is the one the journals hold.
   opt.bo.resume = true;
+  app.calls = 0;
   const auto second = PlanExecutor(opt).execute(app, plan);
-  EXPECT_TRUE(app.space().is_valid(second.final_config));
+  EXPECT_EQ(app.calls, 1u);
+  EXPECT_EQ(second.final_config, first.final_config);
 
   std::filesystem::remove_all(dir);
 }

@@ -1,11 +1,9 @@
 // Cross-module integration tests: the full methodology against apps with
-// real measurements, crashing evaluations, and checkpoint recovery — the
-// robustness scenarios a production tuning campaign hits.
+// real measurements and crashing evaluations — the robustness scenarios a
+// production tuning campaign hits.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 
 #include "core/methodology.hpp"
 #include "core/report.hpp"
@@ -83,35 +81,6 @@ TEST(Integration, ExecutorToleratesCrashingRegion) {
   EXPECT_TRUE(app.space().is_valid(result.execution.final_config));
   EXPECT_LE(result.execution.final_config[0], 12.0);
   EXPECT_GT(result.execution.final_times.total, 0.0);
-}
-
-TEST(Integration, CheckpointDirectoryEnablesRecovery) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "tunekit_ckpt_test").string();
-  std::filesystem::remove_all(dir);
-
-  synth::SynthApp app(synth::SynthCase::Case1);
-  MethodologyOptions opt;
-  opt.cutoff = 0.25;
-  opt.sensitivity.n_variations = 10;
-  opt.importance_samples = 0;
-  opt.executor.evals_per_param = 2;
-  opt.executor.min_evals = 6;
-  opt.executor.enumerate_threshold = 0.0;
-  opt.executor.checkpoint_dir = dir;
-  opt.executor.bo.checkpoint_every = 2;
-  Methodology m(opt);
-  m.run(app);
-
-  // One checkpoint file per executed search, loadable as an EvalDb.
-  std::size_t files = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    ++files;
-    // Each checkpoint belongs to a 5-dim subspace search.
-    SUCCEED() << entry.path();
-  }
-  EXPECT_GE(files, 4u);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Integration, FullReportForRealApp) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <type_traits>
 
 #include "core/report.hpp"
 #include "synth/synth_app.hpp"
@@ -25,8 +27,13 @@ MethodologyOptions synth_options() {
 
 struct CaseExpectation {
   synth::SynthCase which;
-  bool merged;  // Group3+Group4 expected merged?
+  // Group3+Group4 expected merged? Four bytes wide so the struct has no
+  // padding: gtest names each case by a byte dump of the parameter, and
+  // padding bytes would make that name differ between runs.
+  std::uint32_t merged;
 };
+static_assert(std::has_unique_object_representations_v<CaseExpectation>,
+              "CaseExpectation must have no padding bytes");
 
 class SynthPlan : public ::testing::TestWithParam<CaseExpectation> {};
 
@@ -41,7 +48,7 @@ TEST_P(SynthPlan, MatchesPaperPartition) {
   const bool has_merged =
       std::find(names.begin(), names.end(), "Group3+Group4") != names.end();
 
-  EXPECT_EQ(has_merged, GetParam().merged);
+  EXPECT_EQ(has_merged, GetParam().merged != 0);
   EXPECT_EQ(plan.searches.size(), GetParam().merged ? 3u : 4u);
   // Group1 and Group2 always independent.
   EXPECT_NE(std::find(names.begin(), names.end(), "Group1"), names.end());

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <thread>
 #include <utility>
@@ -100,6 +101,28 @@ TEST(TuningSession, FailureRetriedThenDroppedAtPenalty) {
   EXPECT_EQ(session.completed(), 1u);              // dropped: budget consumed
   const auto evals = session.evaluations();
   EXPECT_TRUE(std::isnan(evals[0].value));  // default failure_penalty
+}
+
+// A non-finite tell reaches the surrogate at failure_penalty, the rule
+// BayesOpt::run applies to crashing evaluations: the session told +inf asks
+// exactly what its twin told the penalty value itself asks.
+TEST(TuningSession, FailurePenaltyReachesTheSurrogate) {
+  const auto space = two_dim_space();
+  auto next_after = [&](double last_value) {
+    SessionOptions opt = fast_bo_options(10, 23);
+    opt.failure_penalty = 100.0;
+    TuningSession session(space, opt);
+    const auto init = session.ask(4);  // the initial design
+    EXPECT_EQ(init.size(), 4u);
+    for (std::size_t i = 0; i < init.size(); ++i) {
+      const bool last = i + 1 == init.size();
+      EXPECT_TRUE(session.tell(init[i].id, last ? last_value : sphere(init[i].config)));
+    }
+    const auto next = session.ask(1);
+    EXPECT_EQ(next.size(), 1u);
+    return next.empty() ? search::Config{} : next[0].config;
+  };
+  EXPECT_EQ(next_after(std::numeric_limits<double>::infinity()), next_after(100.0));
 }
 
 TEST(TuningSession, DeadlineExpiryRequeues) {

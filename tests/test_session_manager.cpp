@@ -204,6 +204,43 @@ TEST(SessionManager, InMemorySessionsAreNeverEvicted) {
   EXPECT_EQ(manager.resident(), 2u);
 }
 
+// Touching sessions (find_or_load rewrites their last_used under the shard
+// lock) while creates run the LRU eviction sweep (which orders entries by
+// last_used) must not race, and must lose nothing across the evict/resume
+// cycles it causes.
+TEST(SessionManager, TouchWhileEvictingKeepsState) {
+  const std::string dir = fresh_dir("tunekit_sm_touch_evict");
+  SessionManagerOptions options;
+  options.journal_dir = dir;
+  options.max_resident = 1;
+  SessionManager manager(options);
+  const std::vector<std::string> told = {"t0", "t1", "t2", "t3"};
+  for (const auto& id : told) {
+    manager.create(inline_space_spec(id, 4));
+    json::Object tell;
+    tell["id"] = manager.ask(id, 1).at("candidates").as_array().at(0).at("id");
+    tell["value"] = json::Value(1.0);
+    manager.tell(id, json::Value(std::move(tell)));
+  }
+
+  std::thread toucher([&] {
+    for (std::size_t r = 0; r < 200; ++r) manager.report(told[r % told.size()]);
+  });
+  std::thread evictor([&] {
+    for (std::size_t r = 0; r < 40; ++r) {
+      manager.create(inline_space_spec("n" + std::to_string(r), 4));
+    }
+  });
+  toucher.join();
+  evictor.join();
+
+  for (const auto& id : told) {
+    EXPECT_DOUBLE_EQ(manager.report(id).at("completed").as_number(), 1.0) << id;
+  }
+  EXPECT_EQ(manager.list().at("sessions").as_array().size(), told.size() + 40);
+  std::filesystem::remove_all(dir);
+}
+
 // Satellite requirement: two clients interleaving ask/tell on one session
 // must serialize correctly — every (candidate id, attempt) pair is issued to
 // exactly one client, and the session runs to completion.

@@ -36,7 +36,7 @@
 //   --evals-per-param <n>    search budget rule (default 10)
 //   --min-evals <n>          search budget floor (default 20)
 //   --seed <n>               RNG seed
-//   --checkpoint-dir <path>  per-search crash-recovery checkpoints
+//   --checkpoint-dir <path>  per-search session journals (with --session-scheduler)
 //   --dot                    also print the pruned influence DAG as Graphviz
 //
 // Observability:
@@ -50,7 +50,9 @@
 //   --max-evals <n>          session evaluation budget (default 100)
 //   --backend <bo|random|grid>  suggestion backend (default bo)
 //   --journal <path>         durable ask/tell journal (JSON lines)
-//   --resume                 resume the session from --journal
+//   --resume                 resume the session from --journal (session), or
+//                            the killed searches in --checkpoint-dir (tune,
+//                            with --session-scheduler)
 
 #include <algorithm>
 #include <chrono>
@@ -111,7 +113,7 @@ int usage(const char* argv0) {
       "         --evals-per-param N --min-evals N --seed N --checkpoint-dir P --dot\n"
       "         --session-scheduler (journaled ask/tell searches; with\n"
       "           --checkpoint-dir each search writes a crash-proof journal\n"
-      "           that `report` aggregates)\n"
+      "           that `report` aggregates and `tune --resume` continues)\n"
       "robust:  --repeats N (measurements per config, MAD-trimmed)\n"
       "         --eval-timeout S (watchdog deadline per measurement)\n"
       "         --eval-retries N (re-attempts after a transient crash)\n"
@@ -417,6 +419,13 @@ core::MethodologyOptions make_options(const CliArgs& args, const core::AppBundle
   opt.executor.bo.seed = args.seed;
   opt.executor.checkpoint_dir = args.checkpoint_dir;
   opt.executor.session_scheduler = args.session_scheduler;
+  if (args.command == "tune" && args.resume &&
+      (args.checkpoint_dir.empty() || !args.session_scheduler)) {
+    throw UsageError(
+        "tune --resume requires --checkpoint-dir and --session-scheduler (it resumes "
+        "the per-search session journals those write)");
+  }
+  opt.executor.bo.resume = args.resume;
   opt.seed = args.seed;
   // One hardened-measurement policy for the whole pipeline: the sensitivity
   // analysis and every search evaluation measure under the same rules.
