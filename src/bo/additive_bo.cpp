@@ -1,11 +1,13 @@
 #include "bo/additive_bo.hpp"
 
 #include <algorithm>
-#include <set>
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "common/log.hpp"
-#include "common/stopwatch.hpp"
+#include "search/drive.hpp"
 #include "search/samplers.hpp"
 
 namespace tunekit::bo {
@@ -18,37 +20,29 @@ AdditiveBo::AdditiveBo(std::vector<std::vector<std::size_t>> groups,
 
 search::SearchResult AdditiveBo::run(search::Objective& objective,
                                      const search::SearchSpace& space) const {
-  Stopwatch watch;
-  tunekit::Rng rng(options_.seed);
   const std::size_t dims = space.size();
-
   // Groups must cover a subset of the space; uncovered coordinates keep the
   // incumbent's values (they are not modeled).
-  std::set<std::size_t> covered;
   for (const auto& g : groups_) {
     for (std::size_t idx : g) {
       if (idx >= dims) throw std::invalid_argument("AdditiveBo: group index out of range");
-      covered.insert(idx);
     }
   }
 
-  // The active decomposition; the regroup hook may re-cut it mid-run.
-  std::vector<std::vector<std::size_t>> groups = groups_;
-  bool regrouped = false;
-
-  search::SearchResult result;
-  result.method = "additive-bo";
-
-  std::vector<std::vector<double>> units;
-  std::vector<double> values;
-
-  auto evaluate = [&](const search::Config& config) {
-    const double v = objective.evaluate(config);
-    units.push_back(space.encode_unit(config));
-    values.push_back(v);
-    result.record(config, v);
-
-    if (options_.regroup_hook) {
+  // `groups` is the active decomposition; the regroup hook may re-cut it
+  // mid-run. `units`/`values` are the finite observations the surrogate and
+  // the hook see; `seen` counts the evaluations already folded into them.
+  auto propose = [&, rng = tunekit::Rng(options_.seed), groups = groups_,
+                  gp = std::optional<AdditiveGp>(), design = std::vector<search::Config>(),
+                  units = std::vector<std::vector<double>>(), values = std::vector<double>(),
+                  seen = std::size_t{0}, iteration = std::size_t{0}](
+                     const std::vector<search::Evaluation>& evals) mutable
+      -> std::optional<search::Config> {
+    for (; seen < evals.size(); ++seen) {
+      if (!std::isfinite(evals[seen].value)) continue;
+      units.push_back(space.encode_unit(evals[seen].config));
+      values.push_back(evals[seen].value);
+      if (!options_.regroup_hook) continue;
       auto revised = options_.regroup_hook(units, values);
       if (revised && !revised->empty() && *revised != groups) {
         bool valid = true;
@@ -56,58 +50,45 @@ search::SearchResult AdditiveBo::run(search::Objective& objective,
           for (std::size_t idx : g) valid = valid && idx < dims;
         }
         if (valid) {
-          log_info("additive-bo: adopting revised decomposition (",
-                   revised->size(), " groups, ", values.size(), " evals kept)");
+          log_info("additive-bo: adopting revised decomposition (", revised->size(),
+                   " groups, ", values.size(), " evals kept)");
           groups = std::move(*revised);
-          regrouped = true;
+          // Migrate, don't discard: the archive is full-dimensional, so a
+          // re-cut only means refitting the additive GP over the new groups.
+          gp.reset();
         }
       }
     }
-  };
 
-  for (const auto& config : search::sample_valid_configs(
-           space, std::min(options_.n_init, options_.max_evals), rng)) {
-    evaluate(config);
-  }
-
-  AdditiveGp gp(groups, options_.kernel);
-  std::size_t iteration = 0;
-  while (values.size() < options_.max_evals) {
-    if (regrouped) {
-      // Migrate, don't discard: the archive is full-dimensional, so a
-      // re-cut only means refitting the additive GP over the new groups.
-      gp = AdditiveGp(groups, options_.kernel);
-      regrouped = false;
+    if (evals.empty()) {
+      design = search::sample_valid_configs(
+          space, std::min(options_.n_init, options_.max_evals), rng);
     }
+    if (evals.size() < design.size()) return design[evals.size()];
+    if (values.empty()) return space.sample_valid(rng);  // everything failed so far
+
+    if (!gp) gp.emplace(groups, options_.kernel);
     linalg::Matrix x(units.size(), dims);
     for (std::size_t r = 0; r < units.size(); ++r) {
       for (std::size_t k = 0; k < dims; ++k) x(r, k) = units[r][k];
     }
-
-    try {
-      if (options_.hyperopt_every > 0 && iteration % options_.hyperopt_every == 0) {
-        gp.fit_with_hyperopt(std::move(x), values, rng, options_.hyperopt_restarts,
-                             options_.hyperopt_max_iters);
-      } else {
-        gp.fit(std::move(x), values);
-      }
-    } catch (const std::exception& e) {
-      log_warn("additive-bo: surrogate failed (", e.what(), "); random step");
-      evaluate(space.sample_valid(rng));
-      ++iteration;
-      continue;
+    if (!try_fit(*gp, std::move(x), values, on_cadence(iteration, options_.hyperopt_every),
+                 rng, options_.hyperopt_restarts, options_.hyperopt_max_iters, "additive-bo")) {
+      return space.sample_valid(rng);
     }
 
-    // Group-wise acquisition maximization: each group's component is
-    // optimized independently over candidate values of its coordinates.
-    std::vector<double> proposal_unit = space.encode_unit(result.best_config);
+    // Group-wise acquisition maximization around the incumbent: each
+    // group's component is optimized independently over candidate values of
+    // its coordinates.
+    const auto best = std::min_element(values.begin(), values.end()) - values.begin();
+    std::vector<double> proposal_unit = units[static_cast<std::size_t>(best)];
     for (std::size_t g = 0; g < groups.size(); ++g) {
       std::vector<double> best_coords;
       double best_score = -std::numeric_limits<double>::infinity();
       std::vector<double> candidate = proposal_unit;
       for (std::size_t c = 0; c < options_.group_candidates; ++c) {
         for (std::size_t idx : groups[g]) candidate[idx] = rng.uniform();
-        const auto pred = gp.predict_group(g, candidate);
+        const auto pred = gp->predict_group(g, candidate);
         // Per-group LCB: group contribution mean minus exploration bonus.
         const double score = acquisition_score(AcquisitionKind::LowerConfidenceBound,
                                                pred.mean, pred.stddev(), 0.0,
@@ -128,24 +109,10 @@ search::SearchResult AdditiveBo::run(search::Objective& objective,
       if (!space.is_valid(proposal)) proposal = space.sample_valid(rng);
     }
     // Duplicate guard for discrete spaces.
-    const auto is_dup = [&](const std::vector<double>& u) {
-      for (const auto& seen : units) {
-        bool same = true;
-        for (std::size_t k = 0; k < dims && same; ++k) {
-          same = std::abs(seen[k] - u[k]) < 1e-12;
-        }
-        if (same) return true;
-      }
-      return false;
-    };
-    if (is_dup(space.encode_unit(proposal))) proposal = space.sample_valid(rng);
-
-    evaluate(proposal);
-    ++iteration;
-  }
-
-  result.seconds = watch.seconds();
-  return result;
+    if (search::already_evaluated(evals, proposal)) proposal = space.sample_valid(rng);
+    return proposal;
+  };
+  return search::drive(objective, propose, options_.max_evals, {}, nullptr, "additive-bo");
 }
 
 }  // namespace tunekit::bo

@@ -16,9 +16,10 @@
 
 namespace tunekit::bo {
 
-/// Called after every evaluation with the full observation archive
-/// (unit-cube rows) and objective values. Returning a non-empty group set
-/// makes the search adopt that decomposition on the next iteration: the
+/// Called once per new finite observation, before the next proposal, with
+/// the archive of finite observations (unit-cube rows) and their objective
+/// values; failed evaluations never reach it. Returning a non-empty group
+/// set makes the search adopt that decomposition for that proposal: the
 /// additive GP is rebuilt over the new groups and refit from the complete
 /// archive, so no observation is discarded on a re-cut. This is how the
 /// online structure learner (structure::OnlineLearner) re-partitions a

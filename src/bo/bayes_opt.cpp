@@ -8,28 +8,12 @@
 #include "common/log.hpp"
 #include "common/stopwatch.hpp"
 #include "obs/telemetry.hpp"
-#include "robust/outcome.hpp"
 #include "search/samplers.hpp"
 #include "search/sobol.hpp"
 
 namespace tunekit::bo {
 
 namespace {
-
-bool nearly_equal_config(const search::Config& a, const search::Config& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::abs(a[i] - b[i]) > 1e-9 * std::max(1.0, std::abs(a[i]))) return false;
-  }
-  return true;
-}
-
-bool already_evaluated(const std::vector<search::Evaluation>& evals,
-                       const search::Config& c) {
-  return std::any_of(evals.begin(), evals.end(), [&](const search::Evaluation& e) {
-    return nearly_equal_config(e.config, c);
-  });
-}
 
 /// Surrogate training data in unit coordinates, plus the incumbent.
 struct TrainingSet {
@@ -86,20 +70,12 @@ std::optional<search::Config> propose(GaussianProcess& gp, const TrainingSet& da
   for (std::size_t i = 0; i < data.units.size(); ++i) {
     for (std::size_t k = 0; k < space.size(); ++k) x(i, k) = data.units[i][k];
   }
-  try {
-    Stopwatch fit_watch;
-    if (hyperopt) {
-      gp.fit_with_hyperopt(std::move(x), data.targets, rng, options.hyperopt_restarts,
-                           options.hyperopt_max_iters);
-    } else {
-      gp.fit(std::move(x), data.targets);
-    }
-    observe_seconds(options.telemetry, obs::metric::kGpFitSeconds, fit_watch.seconds());
-  } catch (const std::exception& e) {
-    // Surrogate breakdown (e.g. all-identical targets).
-    log_warn("bo: surrogate fit failed (", e.what(), "); random fallback");
+  Stopwatch fit_watch;
+  if (!try_fit(gp, std::move(x), data.targets, hyperopt, rng, options.hyperopt_restarts,
+               options.hyperopt_max_iters, "bo")) {
     return std::nullopt;
   }
+  observe_seconds(options.telemetry, obs::metric::kGpFitSeconds, fit_watch.seconds());
 
   auto accept_unit = [&](const std::vector<double>& u) {
     return space.is_valid(space.decode_unit(u));
@@ -114,10 +90,11 @@ std::optional<search::Config> propose(GaussianProcess& gp, const TrainingSet& da
   search::Config proposal = argmax();
   // Duplicate handling for small/discrete spaces.
   for (std::size_t retries = 0;
-       already_evaluated(seen, proposal) && retries < options.duplicate_retries; ++retries) {
+       search::already_evaluated(seen, proposal) && retries < options.duplicate_retries;
+       ++retries) {
     proposal = argmax();
   }
-  if (already_evaluated(seen, proposal)) proposal = space.sample_valid(rng);
+  if (search::already_evaluated(seen, proposal)) proposal = space.sample_valid(rng);
   // Proposal-selection time including duplicate retries: each retry is a
   // full argmax, and their cost is what this histogram exists to expose.
   observe_seconds(options.telemetry, obs::metric::kAcqArgmaxSeconds, acq_watch.seconds());
@@ -158,79 +135,39 @@ search::SearchResult BayesOpt::run(search::Objective& objective,
 search::SearchResult BayesOpt::run(search::Objective& objective,
                                    const search::SearchSpace& space,
                                    search::EvalDb& db) const {
-  Stopwatch watch;
-  tunekit::Rng rng(options_.seed);
-  obs::Telemetry* telemetry = options_.telemetry;
-  const bool traced = telemetry != nullptr && telemetry->enabled();
+  return search::drive(objective, proposer(space), options_.max_evals, {},
+                       options_.telemetry, "bo", &db);
+}
 
-  auto evaluate_and_record = [&](const search::Config& config) {
-    obs::ScopedSpan eval_span(telemetry, "eval");
-    if (traced) telemetry->metrics().counter(obs::metric::kEvalsStarted).inc();
-    Stopwatch eval_watch;
-    double value = std::numeric_limits<double>::quiet_NaN();
-    robust::EvalOutcome outcome = robust::EvalOutcome::Ok;
-    try {
-      value = objective.evaluate(config);
-      outcome = robust::classify_value(value);
-    } catch (const robust::EvalFailure& e) {
-      // A hardened objective already classified the failure; keep the why.
-      log_warn("bo: evaluation failed (", e.what(), "); recording as ",
-               robust::to_string(e.outcome()));
-      outcome = e.outcome();
-    } catch (const std::invalid_argument& e) {
-      log_warn("bo: invalid configuration (", e.what(), "); recording as failure");
-      outcome = robust::EvalOutcome::InvalidConfig;
-    } catch (const std::exception& e) {
-      // Application crash: record the failure and keep searching.
-      log_warn("bo: evaluation failed (", e.what(), "); recording as failure");
-      outcome = robust::EvalOutcome::Crashed;
-    } catch (...) {
-      log_warn("bo: evaluation threw a non-standard exception; recording as crash");
-      outcome = robust::EvalOutcome::Crashed;
+search::Proposer BayesOpt::proposer(const search::SearchSpace& space) const {
+  return [this, &space, rng = tunekit::Rng(options_.seed), gp = make_gp(options_),
+          next_warm = std::size_t{0}, design = std::optional<std::vector<search::Config>>(),
+          next_design = std::size_t{0}, iteration = std::size_t{0}](
+             const std::vector<search::Evaluation>& evals) mutable
+             -> std::optional<search::Config> {
+    // Warm start: source-task winners first (transfer learning).
+    while (next_warm < options_.warm_start.size()) {
+      const search::Config& config = options_.warm_start[next_warm++];
+      if (!space.is_valid(config)) {
+        log_warn("bo: skipping invalid warm-start configuration");
+        continue;
+      }
+      if (!search::already_evaluated(evals, config)) return config;
     }
-    const double seconds = eval_watch.seconds();
-    eval_span.end();
-    if (traced) obs::outcome_counter(telemetry->metrics(), robust::to_string(outcome)).inc();
-    observe_seconds(telemetry, obs::metric::kEvalSeconds, seconds);
-    if (robust::is_failure(outcome)) value = std::numeric_limits<double>::quiet_NaN();
-    db.record(config, value, seconds, outcome);
-  };
-
-  // Warm start: source-task winners first (transfer learning).
-  for (const auto& config : options_.warm_start) {
-    if (db.size() >= options_.max_evals) break;
-    if (!space.is_valid(config)) {
-      log_warn("bo: skipping invalid warm-start configuration");
-      continue;
+    if (!design) {
+      design = evals.size() < options_.n_init
+                   ? initial_design(space, options_.n_init - evals.size(), rng)
+                   : std::vector<search::Config>();
     }
-    if (already_evaluated(db.all(), config)) continue;
-    evaluate_and_record(config);
-  }
+    if (next_design < design->size()) return (*design)[next_design++];
 
-  if (db.size() < options_.n_init) {
-    for (const auto& config : initial_design(space, options_.n_init - db.size(), rng)) {
-      if (db.size() >= options_.max_evals) break;
-      evaluate_and_record(config);
-    }
-  }
-
-  GaussianProcess gp = make_gp(options_);
-  for (std::size_t iteration = 0; db.size() < options_.max_evals; ++iteration) {
-    obs::ScopedSpan iter_span(telemetry, "bo.iteration");
-    const auto evals = db.all();
-    const bool hyperopt =
-        options_.hyperopt_every > 0 && iteration % options_.hyperopt_every == 0;
+    const bool hyperopt = on_cadence(iteration, options_.hyperopt_every);
     auto proposal =
         propose(gp, training_set(evals, space, options_), hyperopt, evals, space, rng, options_);
+    if (proposal) return proposal;
     // Everything failed so far, or the surrogate broke down: explore at random.
-    evaluate_and_record(proposal ? std::move(*proposal) : space.sample_valid(rng));
-  }
-
-  search::SearchResult result;
-  result.method = "bo";
-  for (const auto& e : db.all()) result.record(e.config, e.value);
-  result.seconds = watch.seconds();
-  return result;
+    return space.sample_valid(rng);
+  };
 }
 
 std::vector<search::Config> BayesOpt::suggest_batch(const search::EvalDb& db,

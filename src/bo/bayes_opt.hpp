@@ -1,14 +1,16 @@
 #pragma once
 // The Bayesian-optimization search driver (the GPTune stand-in).
 //
-// Loop: LHS initial design (5 random configurations, as the paper uses) ->
-// fit GP (periodic hyperparameter optimization) -> maximize acquisition
-// under the space's validity constraints -> evaluate -> repeat until the
-// evaluation budget (the paper's criterion: 10 x num_parameters) is spent.
+// Proposals: warm-start configurations, then an LHS initial design (5
+// random configurations, as the paper uses), then fit GP (periodic
+// hyperparameter optimization) -> maximize acquisition under the space's
+// validity constraints. run() feeds them to search::drive, the sequential
+// loop every blocking driver shares, until the evaluation budget (the
+// paper's criterion: 10 x num_parameters) is spent.
 //
 // Features carried over from GPTune because the paper depends on them:
 //  * hard search-space constraints (candidates are filtered for validity),
-//  * crash tolerance (crashing evaluations are recorded, not fatal),
+//  * crash tolerance (drive records crashing evaluations, not fatal),
 //  * transfer learning (TransferPrior as GP prior mean).
 //
 // run() keeps its state in memory. Crash recovery is the session journal:
@@ -21,6 +23,7 @@
 
 #include "bo/acquisition.hpp"
 #include "bo/transfer.hpp"
+#include "search/drive.hpp"
 #include "search/eval_db.hpp"
 #include "search/objective.hpp"
 #include "search/result.hpp"
@@ -80,15 +83,16 @@ struct BoOptions {
   /// during Case Study 2's search). infinity = disabled.
   double timeout_value = std::numeric_limits<double>::infinity();
 
-  /// Objective exceptions (application crashes) are caught and recorded as
-  /// failed evaluations. A finite failure_penalty feeds that value to the
-  /// surrogate, steering it away from the crashing region; the default NaN
-  /// excludes failed points from the surrogate entirely. Failures count
+  /// Failed evaluations (crashes, timeouts, invalid configurations,
+  /// non-finite values) are recorded as NaN. A finite failure_penalty feeds
+  /// that value to the surrogate, steering it away from the crashing region;
+  /// the default NaN excludes failed points from the surrogate entirely. Failures count
   /// toward the budget, so a crash-looping application still terminates.
   double failure_penalty = std::numeric_limits<double>::quiet_NaN();
 
-  /// Spans ("bo.iteration" → "eval"), evaluation counters, and GP-fit /
-  /// acquisition-argmax timing histograms (null = disabled, the default).
+  /// run()'s spans ("bo.iteration" per evaluation, initial design included,
+  /// → "eval"), evaluation counters, and GP-fit / acquisition-argmax timing
+  /// histograms (null = disabled, the default).
   obs::Telemetry* telemetry = nullptr;
 };
 
@@ -106,6 +110,10 @@ class BayesOpt {
   /// learning into a later task).
   search::SearchResult run(search::Objective& objective, const search::SearchSpace& space,
                            search::EvalDb& db) const;
+
+  /// run()'s proposal sequence, for callers that drive the search with their
+  /// own measurement options. Valid while this BayesOpt and `space` live.
+  search::Proposer proposer(const search::SearchSpace& space) const;
 
   /// Suggest `k` configurations to evaluate in parallel, without evaluating
   /// anything (constant-liar batching): each accepted suggestion is added to

@@ -1,43 +1,38 @@
 #include "bo/dropout_bo.hpp"
 
 #include <algorithm>
+#include <cmath>
 
-#include "common/log.hpp"
-#include "common/stopwatch.hpp"
+#include "search/drive.hpp"
 #include "search/samplers.hpp"
 
 namespace tunekit::bo {
 
 search::SearchResult DropoutBo::run(search::Objective& objective,
                                     const search::SearchSpace& space) const {
-  Stopwatch watch;
-  tunekit::Rng rng(options_.seed);
   const std::size_t total_dims = space.size();
   const std::size_t d = std::min(options_.active_dims, total_dims);
 
-  search::SearchResult result;
-  result.method = "dropout-bo";
+  // `units`/`values` are the finite observations; `seen` counts the
+  // evaluations already folded into them.
+  auto propose = [&, rng = tunekit::Rng(options_.seed), gp = GaussianProcess(options_.kernel),
+                  design = std::vector<search::Config>(),
+                  units = std::vector<std::vector<double>>(), values = std::vector<double>(),
+                  seen = std::size_t{0}, iteration = std::size_t{0}](
+                     const std::vector<search::Evaluation>& evals) mutable
+      -> std::optional<search::Config> {
+    for (; seen < evals.size(); ++seen) {
+      if (!std::isfinite(evals[seen].value)) continue;
+      units.push_back(space.encode_unit(evals[seen].config));
+      values.push_back(evals[seen].value);
+    }
+    if (evals.empty()) {
+      design = search::sample_valid_configs(
+          space, std::min(options_.n_init, options_.max_evals), rng);
+    }
+    if (evals.size() < design.size()) return design[evals.size()];
+    if (values.empty()) return space.sample_valid(rng);  // everything failed so far
 
-  std::vector<search::Config> configs;
-  std::vector<std::vector<double>> units;
-  std::vector<double> values;
-
-  auto evaluate = [&](const search::Config& config) {
-    const double v = objective.evaluate(config);
-    configs.push_back(config);
-    units.push_back(space.encode_unit(config));
-    values.push_back(v);
-    result.record(config, v);
-  };
-
-  for (const auto& config : search::sample_valid_configs(
-           space, std::min(options_.n_init, options_.max_evals), rng)) {
-    evaluate(config);
-  }
-
-  GaussianProcess gp(options_.kernel);
-  std::size_t iteration = 0;
-  while (values.size() < options_.max_evals) {
     // Pick this iteration's active subspace.
     const auto active = rng.sample_without_replacement(total_dims, d);
 
@@ -47,31 +42,23 @@ search::SearchResult DropoutBo::run(search::Objective& objective,
     for (std::size_t r = 0; r < units.size(); ++r) {
       for (std::size_t k = 0; k < d; ++k) x(r, k) = units[r][active[k]];
     }
-
-    try {
-      if (options_.hyperopt_every > 0 && iteration % options_.hyperopt_every == 0) {
-        gp.set_hyperparams(GpHyperparams::isotropic(d));
-        gp.fit_with_hyperopt(std::move(x), values, rng, options_.hyperopt_restarts,
-                             options_.hyperopt_max_iters);
-      } else {
-        if (gp.dim() != d) gp.set_hyperparams(GpHyperparams::isotropic(d));
-        gp.fit(std::move(x), values);
-      }
-    } catch (const std::exception& e) {
-      log_warn("dropout-bo: surrogate failed (", e.what(), "); random step");
-      evaluate(space.sample_valid(rng));
-      ++iteration;
-      continue;
+    const bool hyperopt = on_cadence(iteration, options_.hyperopt_every);
+    if (hyperopt || gp.dim() != d) gp.set_hyperparams(GpHyperparams::isotropic(d));
+    if (!try_fit(gp, std::move(x), values, hyperopt, rng, options_.hyperopt_restarts,
+                 options_.hyperopt_max_iters, "dropout-bo")) {
+      return space.sample_valid(rng);
     }
 
     // Incumbent's active coordinates seed the local candidates.
-    const auto best_unit = space.encode_unit(result.best_config);
+    const auto best = static_cast<std::size_t>(
+        std::min_element(values.begin(), values.end()) - values.begin());
+    const std::vector<double>& best_unit = units[best];
     std::vector<double> incumbent_active(d);
     for (std::size_t k = 0; k < d; ++k) incumbent_active[k] = best_unit[active[k]];
 
-    const auto active_point = maximize_acquisition(
-        gp, options_.acquisition, options_.acq_params, result.best_value,
-        incumbent_active, rng, options_.maximizer, nullptr);
+    const auto active_point =
+        maximize_acquisition(gp, options_.acquisition, options_.acq_params, values[best],
+                             incumbent_active, rng, options_.maximizer, nullptr);
 
     // Assemble the full proposal: active coords from the acquisition,
     // dropped coords from the incumbent or at random.
@@ -87,12 +74,9 @@ search::SearchResult DropoutBo::run(search::Objective& objective,
                                     : space.sample_valid(rng);
       if (!space.is_valid(proposal)) proposal = space.sample_valid(rng);
     }
-    evaluate(proposal);
-    ++iteration;
-  }
-
-  result.seconds = watch.seconds();
-  return result;
+    return proposal;
+  };
+  return search::drive(objective, propose, options_.max_evals, {}, nullptr, "dropout-bo");
 }
 
 }  // namespace tunekit::bo

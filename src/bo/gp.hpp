@@ -10,11 +10,13 @@
 // cost the paper cites as the reason joint high-dimensional searches need
 // disproportionally many evaluations (bench/perf_gp_scaling measures it).
 
+#include <exception>
 #include <functional>
 #include <optional>
 #include <vector>
 
 #include "bo/kernels.hpp"
+#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "linalg/matrix.hpp"
 
@@ -101,5 +103,31 @@ class GaussianProcess {
   double last_jitter_ = 0.0;
   bool fitted_ = false;
 };
+
+/// True on every `every`-th call (the first included), counting calls in
+/// `step`; never when `every` is 0. The hyperparameter-search cadence.
+inline bool on_cadence(std::size_t& step, std::size_t every) {
+  return every > 0 && step++ % every == 0;
+}
+
+/// Fit `gp` (a GaussianProcess or an AdditiveGp) to (x, y): a
+/// hyperparameter search when `hyperopt`, else a refit with the current
+/// hyperparameters. False, with a warning from `who`, when the surrogate
+/// breaks down (e.g. all-identical targets); the caller picks a fallback.
+template <class Gp>
+bool try_fit(Gp& gp, linalg::Matrix x, const std::vector<double>& y, bool hyperopt,
+             tunekit::Rng& rng, std::size_t restarts, std::size_t max_iters, const char* who) {
+  try {
+    if (hyperopt) {
+      gp.fit_with_hyperopt(std::move(x), y, rng, restarts, max_iters);
+    } else {
+      gp.fit(std::move(x), y);
+    }
+    return true;
+  } catch (const std::exception& e) {
+    log_warn(who, ": surrogate fit failed (", e.what(), "); random fallback");
+    return false;
+  }
+}
 
 }  // namespace tunekit::bo

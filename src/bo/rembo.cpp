@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <stdexcept>
 
-#include "common/log.hpp"
-#include "common/stopwatch.hpp"
+#include "search/drive.hpp"
 
 namespace tunekit::bo {
 
@@ -19,7 +20,6 @@ std::vector<double> Rembo::project(const linalg::Matrix& embedding,
 
 search::SearchResult Rembo::run(search::Objective& objective,
                                 const search::SearchSpace& space) const {
-  Stopwatch watch;
   tunekit::Rng rng(options_.seed);
   const std::size_t total_dims = space.size();
   const std::size_t d = std::min(options_.embedding_dims, total_dims);
@@ -31,39 +31,6 @@ search::SearchResult Rembo::run(search::Objective& objective,
     for (std::size_t k = 0; k < d; ++k) {
       embedding(i, k) = rng.normal() / (2.0 * box);
     }
-  }
-
-  search::SearchResult result;
-  result.method = "rembo";
-
-  linalg::Matrix ys(0, 0);
-  std::vector<std::vector<double>> y_points;
-  std::vector<double> values;
-
-  auto evaluate_y = [&](const std::vector<double>& y) {
-    const auto unit = project(embedding, y);
-    search::Config config = space.decode_unit(unit);
-    if (!space.is_valid(config)) {
-      if (space.has_repair()) config = space.repair(std::move(config));
-      if (!space.is_valid(config)) return false;  // infeasible projection
-    }
-    const double v = objective.evaluate(config);
-    y_points.push_back(y);
-    values.push_back(v);
-    result.record(config, v);
-    return true;
-  };
-
-  // Initial design in the embedded box.
-  std::size_t guard = 0;
-  while (values.size() < std::min(options_.n_init, options_.max_evals) &&
-         guard++ < 100 * options_.n_init) {
-    std::vector<double> y(d);
-    for (auto& v : y) v = rng.uniform(-box, box);
-    evaluate_y(y);
-  }
-  if (values.empty()) {
-    throw std::runtime_error("rembo: no feasible projection found in the initial design");
   }
 
   // Unit-scale the embedded box for the GP.
@@ -78,48 +45,75 @@ search::SearchResult Rembo::run(search::Objective& objective,
     return y;
   };
 
-  GaussianProcess gp(options_.kernel);
-  std::size_t iteration = 0;
-  while (values.size() < options_.max_evals && guard++ < 100 * options_.max_evals) {
-    linalg::Matrix x(y_points.size(), d);
-    std::size_t best_idx = 0;
-    for (std::size_t r = 0; r < y_points.size(); ++r) {
-      const auto u = y_to_unit(y_points[r]);
-      for (std::size_t k = 0; k < d; ++k) x(r, k) = u[k];
-      if (values[r] < values[best_idx]) best_idx = r;
-    }
-
-    try {
-      if (options_.hyperopt_every > 0 && iteration % options_.hyperopt_every == 0) {
-        gp.set_hyperparams(GpHyperparams::isotropic(d));
-        gp.fit_with_hyperopt(std::move(x), values, rng, options_.hyperopt_restarts,
-                             options_.hyperopt_max_iters);
-      } else {
-        gp.fit(std::move(x), values);
+  // `ys[i]` is the embedded point evaluation i came from. `guard` caps the
+  // draws spent on infeasible projections, across both phases.
+  const std::size_t n_design = std::min(options_.n_init, options_.max_evals);
+  auto propose = [&, gp = GaussianProcess(options_.kernel),
+                  ys = std::vector<std::vector<double>>(), designing = true,
+                  guard = std::size_t{0}, iteration = std::size_t{0}](
+                     const std::vector<search::Evaluation>& evals) mutable
+      -> std::optional<search::Config> {
+    auto random_y = [&] {
+      std::vector<double> y(d);
+      for (auto& v : y) v = rng.uniform(-box, box);
+      return y;
+    };
+    // The configuration `y` projects to, archived; nullopt when infeasible.
+    auto accept = [&](std::vector<double> y) -> std::optional<search::Config> {
+      search::Config config = space.decode_unit(project(embedding, y));
+      if (!space.is_valid(config)) {
+        if (space.has_repair()) config = space.repair(std::move(config));
+        if (!space.is_valid(config)) return std::nullopt;  // infeasible projection
       }
-    } catch (const std::exception& e) {
-      log_warn("rembo: surrogate failed (", e.what(), "); random step");
-      std::vector<double> y(d);
-      for (auto& v : y) v = rng.uniform(-box, box);
-      evaluate_y(y);
-      ++iteration;
-      continue;
+      ys.push_back(std::move(y));
+      return config;
+    };
+
+    // Initial design in the embedded box.
+    if (designing) {
+      while (evals.size() < n_design && guard++ < 100 * options_.n_init) {
+        if (auto config = accept(random_y())) return config;
+      }
+      designing = false;
+      if (evals.empty()) {
+        throw std::runtime_error("rembo: no feasible projection found in the initial design");
+      }
     }
 
-    const auto proposal_unit = maximize_acquisition(
-        gp, options_.acquisition, options_.acq_params, values[best_idx],
-        y_to_unit(y_points[best_idx]), rng, options_.maximizer, nullptr);
-    if (!evaluate_y(unit_to_y(proposal_unit))) {
+    while (guard++ < 100 * options_.max_evals) {
+      // Finite observations only; the incumbent is the first best.
+      std::vector<std::size_t> rows;
+      for (std::size_t r = 0; r < evals.size(); ++r) {
+        if (std::isfinite(evals[r].value)) rows.push_back(r);
+      }
+      linalg::Matrix x(rows.size(), d);
+      std::vector<double> values(rows.size());
+      std::size_t best = rows.empty() ? 0 : rows[0];
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        const auto u = y_to_unit(ys[rows[r]]);
+        for (std::size_t k = 0; k < d; ++k) x(r, k) = u[k];
+        values[r] = evals[rows[r]].value;
+        if (values[r] < evals[best].value) best = rows[r];
+      }
+      const bool hyperopt = on_cadence(iteration, options_.hyperopt_every);
+      if (hyperopt) gp.set_hyperparams(GpHyperparams::isotropic(d));
+      if (rows.empty() || !try_fit(gp, std::move(x), values, hyperopt, rng,
+                                   options_.hyperopt_restarts, options_.hyperopt_max_iters,
+                                   "rembo")) {
+        if (auto config = accept(random_y())) return config;
+        continue;
+      }
+
+      const auto proposal_unit = maximize_acquisition(
+          gp, options_.acquisition, options_.acq_params, evals[best].value,
+          y_to_unit(ys[best]), rng, options_.maximizer, nullptr);
+      if (auto config = accept(unit_to_y(proposal_unit))) return config;
       // Infeasible projection: fall back to a random embedded point.
-      std::vector<double> y(d);
-      for (auto& v : y) v = rng.uniform(-box, box);
-      evaluate_y(y);
+      if (auto config = accept(random_y())) return config;
     }
-    ++iteration;
-  }
-
-  result.seconds = watch.seconds();
-  return result;
+    return std::nullopt;
+  };
+  return search::drive(objective, propose, options_.max_evals, {}, nullptr, "rembo");
 }
 
 }  // namespace tunekit::bo

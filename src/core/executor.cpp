@@ -131,14 +131,6 @@ ExecutionResult PlanExecutor::execute(TunableApp& app,
 
       RegionSumObjective region_obj(eval_app, planned.objective_regions);
       search::SubspaceObjective sub_obj(region_obj, space, planned.params, base);
-      // Hardened evaluation for the blocking drivers: watchdog + repeats per
-      // call, classified failures re-thrown as EvalFailure (which BayesOpt
-      // records and GridSearch tolerates). The session path instead passes
-      // the options to the scheduler, which measures on its own workers.
-      const bool harden = !robust::is_trivial(measure);
-      robust::HardenedObjective hardened_obj(sub_obj, measure);
-      search::Objective& driver_obj =
-          harden ? static_cast<search::Objective&>(hardened_obj) : sub_obj;
 
       const std::size_t budget = budgets[si];
       search::SearchResult result;
@@ -192,20 +184,22 @@ ExecutionResult PlanExecutor::execute(TunableApp& app,
         service::EvalScheduler scheduler(sched_opts);
         result = scheduler.run(*session, sub_obj);
       } else if (enumerate) {
+        // Blocking path (here and below): search::drive measures every
+        // evaluation under `measure` (watchdog, retries, repeats).
         log_info("executor: '", planned.name, "' enumerated exhaustively (", card,
                  " configs)");
         search::GridSearchOptions grid_opts;
         if (options_.max_total_evals > 0) grid_opts.max_evals = budget;
-        search::GridSearch grid(grid_opts);
-        result = grid.run(driver_obj, sub_obj.space());
-        result.method = "enumerate";
+        result = search::drive(sub_obj, search::GridSearch(grid_opts).proposer(sub_obj.space()),
+                               card, measure, telemetry, "enumerate");
       } else {
         bo::BoOptions bo_opts = options_.bo;
         bo_opts.telemetry = telemetry;
         bo_opts.max_evals = budget;
         bo_opts.seed = options_.bo.seed + 7919 * (search_id + 1);
-        bo::BayesOpt driver(bo_opts);
-        result = driver.run(driver_obj, sub_obj.space());
+        const bo::BayesOpt driver(bo_opts);
+        result = search::drive(sub_obj, driver.proposer(sub_obj.space()), budget, measure,
+                               telemetry, "bo");
       }
 
       SearchOutcome outcome;
@@ -249,10 +243,8 @@ ExecutionResult PlanExecutor::execute(TunableApp& app,
   // The confirming measurement of the tuned configuration runs under the
   // same hardening. If even the final measurement fails, report NaN times
   // rather than aborting after the whole campaign succeeded.
-  const robust::RobustMeasurer measurer(measure);
-  obs::ScopedSpan final_span(telemetry, "eval");
-  const robust::Measurement final_m = measurer.measure_regions(eval_app, base);
-  final_span.end();
+  const robust::Measurement final_m =
+      robust::RobustMeasurer(measure).measure_regions(eval_app, base, telemetry);
   if (final_m.outcome == robust::EvalOutcome::Ok) {
     exec.final_times = final_m.regions;
   } else {

@@ -1,8 +1,6 @@
 #include "core/methodology.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <memory>
 #include <set>
 
@@ -124,7 +122,6 @@ InfluenceAnalysis Methodology::analyze_impl(
   if (options_.importance_samples > 0) {
     obs::ScopedSpan imp_span(telemetry, "phase.importance");
     Stopwatch imp_watch;
-    const bool traced = telemetry != nullptr && telemetry->enabled();
     const std::size_t n = options_.importance_samples;
     if (!stats::one_in_ten_ok(n, space.size())) {
       log_warn("methodology: ", n, " samples for ", space.size(),
@@ -149,26 +146,16 @@ InfluenceAnalysis Methodology::analyze_impl(
     std::vector<double> y;
     units.reserve(n);
     y.reserve(n);
+    const robust::RobustMeasurer measurer;
     for (std::size_t i = 0; i < n; ++i) {
-      obs::ScopedSpan eval_span(telemetry, "eval");
-      if (traced) telemetry->metrics().counter(obs::metric::kEvalsStarted).inc();
-      double value = std::numeric_limits<double>::quiet_NaN();
-      robust::EvalOutcome outcome = robust::EvalOutcome::Crashed;
-      try {
-        value = eval_app.evaluate(configs[i]);
-        outcome = robust::classify_value(value);
-      } catch (const std::exception& e) {
-        log_warn("methodology: importance sample failed (", e.what(), "); dropped");
-      } catch (...) {
-        log_warn("methodology: importance sample threw a non-standard exception; dropped");
+      const robust::Measurement m = measurer.measure(eval_app, configs[i], telemetry);
+      if (robust::is_failure(m.outcome)) {
+        log_warn("methodology: importance sample failed as ", robust::to_string(m.outcome),
+                 " (", m.error, "); dropped");
+        continue;
       }
-      eval_span.end();
-      if (traced) {
-        obs::outcome_counter(telemetry->metrics(), robust::to_string(outcome)).inc();
-      }
-      if (!std::isfinite(value)) continue;
       units.push_back(space.encode_unit(configs[i]));
-      y.push_back(value);
+      y.push_back(m.value);
     }
     analysis.observations += n;
     if (units.size() < n) {

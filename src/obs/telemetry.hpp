@@ -9,6 +9,11 @@
 //     ├─ phase.partition
 //     └─ phase.execution ── search.<name> ── bo.iteration ── eval ── ...
 //
+// Every blocking driver (search::drive) opens one "<method>.iteration" span
+// per evaluation, initial-design evaluations included, around the proposal
+// and its "eval" span: "bo.iteration" for BayesOpt, "enumerate.iteration"
+// for the executor's enumerated searches.
+//
 // Parents propagate two ways:
 //   * implicitly — each thread carries a "current span" (set by ScopedSpan /
 //     CurrentSpanScope), and begin_span() defaults its parent to it; or

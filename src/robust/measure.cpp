@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/telemetry.hpp"
 #include "stats/descriptive.hpp"
 
 namespace tunekit::robust {
@@ -121,35 +122,40 @@ Measurement RobustMeasurer::combine(std::vector<GuardedEval> evals) const {
 }
 
 Measurement RobustMeasurer::measure(search::Objective& objective,
-                                    const search::Config& config) const {
+                                    const search::Config& config,
+                                    obs::Telemetry* telemetry) const {
   const Watchdog watchdog(options_.watchdog);
-  std::vector<GuardedEval> evals;
-  evals.reserve(options_.repeats);
-  for (std::size_t r = 0; r < options_.repeats; ++r) {
-    evals.push_back(watchdog.evaluate(objective, config));
-    // An invalid configuration is deterministic; repeating it is waste.
-    if (evals.back().outcome == EvalOutcome::InvalidConfig) break;
-  }
-  return combine(std::move(evals));
+  return repeat(telemetry, [&] { return watchdog.evaluate(objective, config); });
 }
 
 Measurement RobustMeasurer::measure_regions(search::RegionObjective& objective,
-                                            const search::Config& config) const {
+                                            const search::Config& config,
+                                            obs::Telemetry* telemetry) const {
   const Watchdog watchdog(options_.watchdog);
+  return repeat(telemetry, [&] { return watchdog.evaluate_regions(objective, config); });
+}
+
+Measurement RobustMeasurer::repeat(obs::Telemetry* telemetry,
+                                   const std::function<GuardedEval()>& attempt) const {
+  obs::ScopedSpan eval_span(telemetry, "eval");
+  const bool traced = telemetry != nullptr && telemetry->enabled();
+  if (traced) telemetry->metrics().counter(obs::metric::kEvalsStarted).inc();
   std::vector<GuardedEval> evals;
   evals.reserve(options_.repeats);
   for (std::size_t r = 0; r < options_.repeats; ++r) {
-    evals.push_back(watchdog.evaluate_regions(objective, config));
+    evals.push_back(attempt());
+    // An invalid configuration is deterministic; repeating it is waste.
     if (evals.back().outcome == EvalOutcome::InvalidConfig) break;
   }
-  return combine(std::move(evals));
-}
-
-double HardenedObjective::evaluate(const search::Config& config) {
-  const Measurement m = measurer_.measure(inner_, config);
-  if (m.outcome == EvalOutcome::Ok) return m.value;
-  throw EvalFailure(m.outcome,
-                    m.error.empty() ? std::string(to_string(m.outcome)) : m.error);
+  Measurement m = combine(std::move(evals));
+  eval_span.end();
+  if (traced) {
+    obs::outcome_counter(telemetry->metrics(), to_string(m.outcome)).inc();
+    telemetry->metrics()
+        .histogram(obs::metric::kEvalSeconds, obs::default_time_buckets())
+        .observe(m.seconds);
+  }
+  return m;
 }
 
 }  // namespace tunekit::robust

@@ -15,6 +15,7 @@
 // most often, so the EvalDb/journal records *why* the point failed.
 
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -22,6 +23,10 @@
 #include "robust/outcome.hpp"
 #include "robust/watchdog.hpp"
 #include "search/objective.hpp"
+
+namespace tunekit::obs {
+class Telemetry;
+}
 
 namespace tunekit::robust {
 
@@ -76,35 +81,22 @@ class RobustMeasurer {
 
   const MeasureOptions& options() const { return options_; }
 
-  Measurement measure(search::Objective& objective, const search::Config& config) const;
+  /// One evaluation of `config`: `repeats` guarded measurements combined.
+  /// With `telemetry` it runs inside an "eval" span and counts toward
+  /// evaluations started, the outcome counter and the evaluation-seconds
+  /// histogram (null or disabled telemetry: no instrumentation).
+  Measurement measure(search::Objective& objective, const search::Config& config,
+                      obs::Telemetry* telemetry = nullptr) const;
   Measurement measure_regions(search::RegionObjective& objective,
-                              const search::Config& config) const;
+                              const search::Config& config,
+                              obs::Telemetry* telemetry = nullptr) const;
 
  private:
+  Measurement repeat(obs::Telemetry* telemetry,
+                     const std::function<GuardedEval()>& attempt) const;
   Measurement combine(std::vector<GuardedEval> evals) const;
 
   MeasureOptions options_;
-};
-
-/// Objective decorator that turns every evaluate() into a robust measurement.
-/// Failures re-throw as EvalFailure so drivers that only understand
-/// exceptions (BayesOpt, GridSearch callers) still learn the classified
-/// outcome. This is how the blocking search paths get watchdog + repeat
-/// semantics without changing their loops.
-class HardenedObjective final : public search::Objective {
- public:
-  HardenedObjective(search::Objective& inner, MeasureOptions options)
-      : inner_(inner), measurer_(options) {}
-
-  double evaluate(const search::Config& config) override;
-  bool thread_safe() const override { return inner_.thread_safe(); }
-
-  /// The last measurement's dispersion is not exposed per call (evaluate()
-  /// is value-only); use RobustMeasurer directly when dispersion matters.
-
- private:
-  search::Objective& inner_;
-  RobustMeasurer measurer_;
 };
 
 }  // namespace tunekit::robust

@@ -38,9 +38,9 @@ bool is_failure(EvalOutcome outcome);
 /// objective return value with no further context.
 EvalOutcome classify_value(double value);
 
-/// Exception that carries a classified failure out of a hardened objective
-/// (e.g. robust::HardenedObjective) into a driver that only understands
-/// exceptions, so the driver can record the precise outcome instead of a
+/// Exception that carries a classified failure out of an objective (e.g. a
+/// worker pool's evaluation, or a cancelled injected hang) through the
+/// watchdog, so the recorded outcome is the precise one instead of a
 /// generic crash.
 class EvalFailure : public std::runtime_error {
  public:

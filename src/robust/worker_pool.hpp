@@ -130,8 +130,8 @@ class WorkerPool final : public EvalBackend {
 
 /// Scalar objective whose evaluations run on an EvalBackend (a local
 /// WorkerPool or a fleet dispatcher). Failures are re-thrown as EvalFailure
-/// with the classified outcome, the contract every driver (RobustMeasurer,
-/// BayesOpt, schedulers) already understands.
+/// with the classified outcome, the contract the watchdog (and through it
+/// RobustMeasurer, search::drive and the schedulers) already understands.
 class SandboxedObjective final : public search::Objective {
  public:
   SandboxedObjective(std::shared_ptr<EvalBackend> pool, double deadline_seconds)

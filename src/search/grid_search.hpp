@@ -2,11 +2,12 @@
 // Exhaustive / budgeted grid search baseline.
 //
 // Enumerates the full factorial grid (real parameters discretized); when the
-// grid exceeds the evaluation budget a deterministic stride subsamples it so
-// coverage stays uniform.
+// grid exceeds the evaluation budget, evenly_spaced() keeps exactly
+// max_evals cells so coverage stays uniform.
 
 #include <cstddef>
 
+#include "search/drive.hpp"
 #include "search/objective.hpp"
 #include "search/result.hpp"
 
@@ -17,9 +18,6 @@ struct GridSearchOptions {
   std::size_t real_levels = 4;
   /// Evaluation budget; 0 means evaluate the whole grid.
   std::size_t max_evals = 0;
-  /// Hard cap on grid enumeration size (protects against accidental
-  /// combinatorial explosions).
-  std::size_t max_grid_points = 2'000'000;
 };
 
 class GridSearch {
@@ -27,6 +25,9 @@ class GridSearch {
   explicit GridSearch(GridSearchOptions options = {}) : options_(options) {}
 
   SearchResult run(Objective& objective, const SearchSpace& space) const;
+
+  /// run()'s cell sequence, ending with nullopt after the last cell.
+  Proposer proposer(const SearchSpace& space) const;
 
  private:
   GridSearchOptions options_;

@@ -1,14 +1,13 @@
 #pragma once
 // Random Search baseline (Table III's first column pair).
 //
-// Uniform valid configurations are drawn and evaluated; with a thread pool
-// and a thread-safe objective the evaluations run concurrently — the paper
-// notes Random Search's "inherent parallelizability" against BO's
-// sequentiality, which we reproduce.
+// Uniform valid configurations, drawn and evaluated one at a time through
+// search::drive. Random Search's "inherent parallelizability", which the
+// paper contrasts with BO's sequentiality, is the session Random backend
+// under service::EvalScheduler.
 
 #include <cstddef>
 
-#include "common/rng.hpp"
 #include "search/objective.hpp"
 #include "search/result.hpp"
 
@@ -17,10 +16,6 @@ namespace tunekit::search {
 struct RandomSearchOptions {
   std::size_t max_evals = 100;
   std::uint64_t seed = 1;
-  /// Worker threads; 1 means sequential. Ignored (forced to 1) when the
-  /// objective is not thread-safe.
-  std::size_t n_threads = 1;
-  std::size_t max_sample_tries = 10000;
 };
 
 class RandomSearch {

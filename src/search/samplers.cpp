@@ -126,4 +126,15 @@ std::vector<Config> grid_configs(const SearchSpace& space, std::size_t real_leve
   return out;
 }
 
+std::vector<Config> evenly_spaced(std::vector<Config> cells, std::size_t n) {
+  if (n == 0 || cells.size() <= n) return cells;
+  std::vector<Config> kept;
+  kept.reserve(n);
+  const double step = static_cast<double>(cells.size()) / static_cast<double>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    kept.push_back(std::move(cells[static_cast<std::size_t>(static_cast<double>(i) * step)]));
+  }
+  return kept;
+}
+
 }  // namespace tunekit::search

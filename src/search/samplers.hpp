@@ -31,10 +31,15 @@ std::vector<std::vector<double>> halton_unit(std::size_t n, std::size_t dim,
 std::vector<Config> sample_valid_configs(const SearchSpace& space, std::size_t n,
                                          tunekit::Rng& rng, bool latin_hypercube = true);
 
-/// Full-factorial grid over discrete levels; Real parameters get
-/// `real_levels` equispaced levels. Throws if the grid would exceed
+/// Valid cells of the full-factorial grid over discrete levels; Real
+/// parameters get `real_levels` equispaced levels. Throws if the grid would exceed
 /// `max_points`.
 std::vector<Config> grid_configs(const SearchSpace& space, std::size_t real_levels,
                                  std::size_t max_points = 2'000'000);
+
+/// Exactly `n` of `cells`, evenly spaced (cell floor(i * size / n) for
+/// i < n), in order; all of them when n is 0 or at least their count. The
+/// budgeted-grid rule of GridSearch and the session Grid backend.
+std::vector<Config> evenly_spaced(std::vector<Config> cells, std::size_t n);
 
 }  // namespace tunekit::search

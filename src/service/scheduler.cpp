@@ -104,21 +104,12 @@ search::SearchResult EvalScheduler::run_impl(TuningSession& session,
     pool.parallel_for(batch.size(), [&](std::size_t i) {
       const Candidate& c = batch[i];
       obs::CurrentSpanScope ambient(batch_span.id());
-      obs::ScopedSpan eval_span(telemetry, "eval");
-      if (traced) telemetry->metrics().counter(obs::metric::kEvalsStarted).inc();
       Stopwatch round_trip;
       try {
         // The measurer catches everything the objective can throw — including
         // non-std::exception throws — and classifies it; a hung evaluation
         // comes back TimedOut once the watchdog deadline expires.
-        const robust::Measurement m = measurer.measure(*eval_obj, c.config);
-        eval_span.end();
-        if (traced) {
-          obs::outcome_counter(telemetry->metrics(), robust::to_string(m.outcome)).inc();
-          telemetry->metrics()
-              .histogram(obs::metric::kEvalSeconds, obs::default_time_buckets())
-              .observe(m.seconds);
-        }
+        const robust::Measurement m = measurer.measure(*eval_obj, c.config, telemetry);
         // Thread-local slot provenance: set by WorkerPool::evaluate whether
         // the pool is ours or wraps the objective upstream (the executor
         // sandboxes at app level); -1 when no pool ever ran on this thread.

@@ -110,19 +110,8 @@ TuningSession::TuningSession(const search::SearchSpace& space, SessionOptions op
         bo_.initial_design(space_, std::min(options_.n_init, options_.max_evals), rng);
   }
   if (options_.backend == SessionBackend::Grid) {
-    grid_ = search::grid_configs(space_, options_.grid_real_levels);
-    std::erase_if(grid_, [&](const search::Config& c) { return !space_.is_valid(c); });
-    if (options_.max_evals > 0 && grid_.size() > options_.max_evals) {
-      // Deterministic stride subsample, as GridSearch does under a budget.
-      std::vector<search::Config> kept;
-      kept.reserve(options_.max_evals);
-      const double step =
-          static_cast<double>(grid_.size()) / static_cast<double>(options_.max_evals);
-      for (std::size_t i = 0; i < options_.max_evals; ++i) {
-        kept.push_back(grid_[static_cast<std::size_t>(static_cast<double>(i) * step)]);
-      }
-      grid_ = std::move(kept);
-    }
+    grid_ = search::evenly_spaced(search::grid_configs(space_, options_.grid_real_levels),
+                                  options_.max_evals);
   }
   if (options_.structure_online && space_.size() >= 2) {
     structure::OnlineLearnerOptions so;

@@ -7,33 +7,8 @@
 #include <stdexcept>
 
 #include "common/log.hpp"
-#include "obs/telemetry.hpp"
 
 namespace tunekit::stats {
-
-namespace {
-
-/// One instrumented observation: an "eval" span plus started/outcome counters
-/// and the eval-seconds histogram. No-op when telemetry is null/disabled.
-robust::Measurement measure_observation(const robust::RobustMeasurer& measurer,
-                                        search::RegionObjective& objective,
-                                        const search::Config& config,
-                                        obs::Telemetry* telemetry) {
-  obs::ScopedSpan eval_span(telemetry, "eval");
-  const bool traced = telemetry != nullptr && telemetry->enabled();
-  if (traced) telemetry->metrics().counter(obs::metric::kEvalsStarted).inc();
-  robust::Measurement m = measurer.measure_regions(objective, config);
-  eval_span.end();
-  if (traced) {
-    obs::outcome_counter(telemetry->metrics(), robust::to_string(m.outcome)).inc();
-    telemetry->metrics()
-        .histogram(obs::metric::kEvalSeconds, obs::default_time_buckets())
-        .observe(m.seconds);
-  }
-  return m;
-}
-
-}  // namespace
 
 SensitivityReport::SensitivityReport(std::vector<std::string> regions,
                                      std::vector<std::string> params)
@@ -193,7 +168,7 @@ SensitivityReport SensitivityAnalyzer::analyze(search::RegionObjective& objectiv
   // re-measured baseline fails there is nothing to normalize against.
   const robust::RobustMeasurer measurer(measure);
   const robust::Measurement base_m =
-      measure_observation(measurer, measured, baseline, options_.telemetry);
+      measurer.measure_regions(measured, baseline, options_.telemetry);
   if (base_m.outcome != robust::EvalOutcome::Ok) {
     throw std::invalid_argument(
         std::string("SensitivityAnalyzer: baseline measurement failed as ") +
@@ -247,7 +222,7 @@ SensitivityReport SensitivityAnalyzer::analyze(search::RegionObjective& objectiv
                                  space.param(p).name() + "'");
       }
       const robust::Measurement m =
-          measure_observation(measurer, measured, varied, options_.telemetry);
+          measurer.measure_regions(measured, varied, options_.telemetry);
       report.observations += m.n_samples;
       if (m.outcome != robust::EvalOutcome::Ok) {
         // A failed variation is data lost, not an analysis abort: the score

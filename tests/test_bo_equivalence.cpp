@@ -1,9 +1,12 @@
-// Equivalence pins for the BO engine: exact proposals and values of
+// Equivalence pins for the search engines: exact proposals and values of
 // BayesOpt::run, BayesOpt::suggest_batch and a Bo-backed TuningSession on
-// fixed seeds. They were recorded from the engine before its blocking loop
-// and its batch path shared one proposal step, and must keep passing
-// unchanged: any refactor of that step that moves a single proposal by one
-// bit fails here.
+// fixed seeds, recorded from the engine before its blocking loop and its
+// batch path shared one proposal step; and exact values and incumbents of
+// every other blocking driver (AdditiveBo, DropoutBo, Rembo, RandomSearch,
+// GridSearch) and of PlanExecutor's blocking path under repeated
+// measurement, recorded before those drivers shared one evaluation loop.
+// They must keep passing unchanged: any refactor that moves a single
+// proposal by one bit fails here.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +14,15 @@
 #include <limits>
 #include <stdexcept>
 
+#include "bo/additive_bo.hpp"
 #include "bo/bayes_opt.hpp"
+#include "bo/dropout_bo.hpp"
+#include "bo/rembo.hpp"
 #include "bo/transfer.hpp"
+#include "core/executor.hpp"
+#include "core/tunable_app.hpp"
+#include "search/grid_search.hpp"
+#include "search/random_search.hpp"
 #include "search/samplers.hpp"
 #include "service/session.hpp"
 
@@ -263,6 +273,283 @@ TEST(BoEquivalence, SessionAskTellSequence) {
     ASSERT_TRUE(session.tell(batch[0].id, shifted_bowl(batch[0].config)));
   }
   expect_configs(asked, kSessionConfigs);
+}
+
+// --- The other blocking drivers -------------------------------------------
+
+SearchSpace unit_cube(std::size_t dims) {
+  SearchSpace s;
+  for (std::size_t i = 0; i < dims; ++i) {
+    s.add(ParamSpec::real("x" + std::to_string(i), 0.0, 1.0, 0.5));
+  }
+  return s;
+}
+
+/// Additive bowl with per-coordinate optima 0.2, 0.3, 0.4, ... plus one
+/// cross term, so an additive model over the wrong cut is mis-specified.
+double cube_bowl(const Config& c) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    const double t = 0.2 + 0.1 * static_cast<double>(i % 4);
+    acc += (c[i] - t) * (c[i] - t);
+  }
+  return acc + 0.5 * (c[0] - 0.2) * (c[c.size() - 1] - 0.5);
+}
+
+void expect_result(const search::SearchResult& actual, const std::vector<double>& values,
+                   const Config& best) {
+  expect_values(actual.values, values);
+  EXPECT_EQ(actual.best_config, best);
+}
+
+// clang-format off
+const std::vector<double> kAdditiveValues = {
+    0.53298105526870287, 0.60907833296149594, 0.72442205587797692,
+    0.3059240109863185, 0.23848879427380004, 0.1152887320830765,
+    0.11615712110424266, 0.1115083879532677, 0.13098831968967142,
+    0.26373931764540948, 0.048331782081723049, 0.044677340736161253,
+    0.035774249246512825, 0.038409401062843192, 0.011081133875998366,
+    0.00075556944632362844,
+};
+const Config kAdditiveBest = {
+    0.18570960390278077, 0.30800200614472323, 0.38101293381881529,
+    0.49175834047847145,
+};
+const std::vector<double> kAdditiveRegroupValues = {
+    0.41446790759355756, 0.30927648274617392, 1.3319181639021156,
+    0.3191262790310252, 0.39600737499657002, 0.21624710385561449,
+    0.52937262451196387, 0.18509772052579396, 0.19409834093030276,
+    0.12918719030992559, 0.135236134195025, 0.11324194414087707,
+    0.013721446486568723, 0.0097951645520314816, 0.017163986725918807,
+    0.003225645527245905, 0.00083248633122771009, 0.00090372092606856667,
+};
+const Config kAdditiveRegroupBest = {
+    0.18241343008877176, 0.31146040080202009, 0.38152454397106167,
+    0.512754039981975,
+};
+const std::vector<double> kDropoutCopyValues = {
+    0.2536063533966495, 1.4482980702408836, 0.62411138391899257,
+    0.86233717543789001, 0.56565911406050284, 0.74601424288296569,
+    0.35200857467683822, 0.24016299604525038, 0.64753575595480106,
+    0.46741006033244775, 0.23547213518766538, 0.24389611793088603,
+    0.20470782185029576, 0.34550749258964297,
+};
+const Config kDropoutCopyBest = {
+    0.028079905990372106, 0, 0.65467843325820874,
+    0.46583678148716712, 0.22852147243970655, 0.39743066068123856,
+};
+const std::vector<double> kDropoutRandomValues = {
+    0.2536063533966495, 1.4482980702408836, 0.62411138391899257,
+    0.86233717543789001, 0.56565911406050284, 1.2660760161157845,
+    0.46706290498106484, 0.42795644924106213, 0.67488572733733543,
+    0.77508898319415753, 0.18880217852595577, 0.3442697047947797,
+    0.8566235976750004, 0.077446660998953698,
+};
+const Config kDropoutRandomBest = {
+    0.38714478877557795, 0.39649805839459284, 0.24558514595254299,
+    0.65751542952778175, 0.18492602269777017, 0.32485707466793756,
+};
+const std::vector<double> kRemboValues = {
+    1.2086342331484683, 0.11166798619141843, 0.51940082091947948,
+    0.16615019252024693, 0.61693530210982994, 1.1828986361778633,
+    0.11318723282900454, 0.25454506331976307, 1.0859010198801025,
+    0.24373001782335268, 1.1318202497586021, 0.1070406009400986,
+    0.15781554030684009, 0.0792937811256514,
+};
+const Config kRemboBest = {
+    0.35601631301447145, 0.33994017045914754, 0.31299070740244012,
+    0.50158328851277711, 0.30359257536498468, 0.48941631911269684,
+};
+const std::vector<double> kRandomValues = {
+    37.8954750471948, 51.225324127453092, 22.374612146278523,
+    31.985710672294672, 10.587003696806935, 8.3131468649912037,
+    30.062045183109344, 30.689817355081605, 40.685858666435436,
+    26.725269318400549, 26.438269249986199, 9.2489654246489525,
+};
+const Config kRandomBest = {-1.8675332935074533, -0.71260253481261859};
+const std::vector<double> kGridValues = {
+    5.96, 4.96, 3.96,
+    2.96, 3.96, 4.96,
+    3.96, 2.96, 1.9599999999999997,
+    2.96, 6.96, 5.96,
+    4.96, 4.1600000000000001, 3.1600000000000001,
+    2.1600000000000001, 1.1600000000000001, 2.1600000000000001,
+    3.1600000000000001, 2.1600000000000001, 1.1600000000000001,
+    0.16000000000000003, 1.1600000000000001, 5.1600000000000001,
+    4.1600000000000001, 3.1600000000000001, 4.3600000000000003,
+    3.3599999999999999, 2.3599999999999999, 1.3599999999999999,
+    2.3599999999999999, 3.3599999999999999, 2.3599999999999999,
+    1.3599999999999999, 0.35999999999999999, 1.3599999999999999,
+    5.3600000000000003, 4.3600000000000003, 3.3599999999999999,
+};
+const Config kGridBest = {3, 2, 0};
+const std::vector<std::vector<double>> kExecutorValues = {
+    {
+        22.898989821948277, 11.40342130635001, 9.2400897959504587,
+        10.289430515323483, 8.1486480525092198, 8.4534231346935211,
+    },
+    {
+        1.8538373054932038, 2.3586297377899808, 4.2734777898357885,
+        kNaN, 1.6458657173468147, kNaN,
+        kNaN, 6.9540527732576392,
+    },
+    {
+        3.0459836956420756, 1.5304918478210379, 3.0449836956420757,
+        4.5724755434631144,
+    },
+};
+const std::vector<Config> kExecutorBest = {
+    {7.6703020703263096},
+    {1.4527132776785976, 0.35829079805253716},
+    {2},
+};
+const Config kExecutorFinal = {
+    7.6703020703263096, 1.4527132776785976, 0.35829079805253716,
+    2,
+};
+// clang-format on
+
+TEST(BoEquivalence, AdditiveBoStaticGroups) {
+  FunctionObjective obj(cube_bowl);
+  AdditiveBoOptions opt;
+  opt.max_evals = 16;
+  opt.seed = 31;
+  const auto result = AdditiveBo({{0, 1}, {2, 3}}, opt).run(obj, unit_cube(4));
+  expect_result(result, kAdditiveValues, kAdditiveBest);
+}
+
+TEST(BoEquivalence, AdditiveBoScriptedRegroup) {
+  // The hook re-cuts the decomposition once, after the 12th observation.
+  FunctionObjective obj(cube_bowl);
+  AdditiveBoOptions opt;
+  opt.max_evals = 18;
+  opt.seed = 32;
+  std::size_t regroups = 0;
+  opt.regroup_hook = [&regroups](const std::vector<std::vector<double>>& units,
+                                 const std::vector<double>& values)
+      -> std::optional<std::vector<std::vector<std::size_t>>> {
+    EXPECT_EQ(units.size(), values.size());
+    if (values.size() != 12) return std::nullopt;
+    ++regroups;
+    return std::vector<std::vector<std::size_t>>{{0, 3}, {1}, {2}};
+  };
+  const auto result = AdditiveBo({{0, 1}, {2, 3}}, opt).run(obj, unit_cube(4));
+  EXPECT_EQ(regroups, 1u);
+  expect_result(result, kAdditiveRegroupValues, kAdditiveRegroupBest);
+}
+
+TEST(BoEquivalence, DropoutBoFillFromBestAndRandom) {
+  FunctionObjective obj(cube_bowl);
+  DropoutBoOptions opt;
+  opt.max_evals = 14;
+  opt.active_dims = 3;
+  opt.seed = 41;
+  opt.fill_from_best = true;
+  const auto copy = DropoutBo(opt).run(obj, unit_cube(6));
+  expect_result(copy, kDropoutCopyValues, kDropoutCopyBest);
+  opt.fill_from_best = false;
+  const auto random = DropoutBo(opt).run(obj, unit_cube(6));
+  expect_result(random, kDropoutRandomValues, kDropoutRandomBest);
+}
+
+TEST(BoEquivalence, RemboWithInfeasibleProjections) {
+  // The constraint rejects part of the projected box, so both the initial
+  // design and the BO loop hit infeasible projections.
+  SearchSpace space = unit_cube(6);
+  space.add_constraint("x0_plus_x1", [](const Config& c) { return c[0] + c[1] <= 1.1; });
+  FunctionObjective obj(cube_bowl);
+  RemboOptions opt;
+  opt.max_evals = 14;
+  opt.embedding_dims = 2;
+  opt.seed = 51;
+  const auto result = Rembo(opt).run(obj, space);
+  expect_result(result, kRemboValues, kRemboBest);
+}
+
+TEST(BoEquivalence, RandomSearchSequence) {
+  SearchSpace space = real_space();
+  space.add_constraint("x0_below_x1_plus_2", [](const Config& c) { return c[0] <= c[1] + 2.0; });
+  FunctionObjective obj(shifted_bowl);
+  search::RandomSearchOptions opt;
+  opt.max_evals = 12;
+  opt.seed = 61;
+  const auto result = search::RandomSearch(opt).run(obj, space);
+  expect_result(result, kRandomValues, kRandomBest);
+}
+
+TEST(BoEquivalence, GridSearchWholeGrid) {
+  SearchSpace space;
+  space.add(ParamSpec::integer("a", 0, 4, 0));
+  space.add(ParamSpec::ordinal("b", {1, 2, 4}, 1));
+  space.add(ParamSpec::real("c", -1.0, 1.0, 0.0));
+  space.add_constraint("ab", [](const Config& c) { return c[0] * c[1] <= 8.0; });
+  FunctionObjective obj([](const Config& c) {
+    return std::abs(c[0] - 3.0) + std::abs(c[1] - 2.0) + (c[2] - 0.4) * (c[2] - 0.4);
+  });
+  search::GridSearchOptions opt;
+  opt.real_levels = 3;
+  const auto result = search::GridSearch(opt).run(obj, space);
+  expect_result(result, kGridValues, kGridBest);
+}
+
+/// Two routines under an outer region; every call adds a small
+/// call-counter-driven jitter so repeated measurements differ, and `a`
+/// crashes above 3.5.
+class JitteryApp final : public core::TunableApp {
+ public:
+  JitteryApp() {
+    space_.add(ParamSpec::real("g", 1.0, 8.0, 1.0));
+    space_.add(ParamSpec::real("a", 0.0, 4.0, 0.0));
+    space_.add(ParamSpec::real("a2", 0.0, 1.0, 0.0));
+    space_.add(ParamSpec::ordinal("b", {1, 2, 4, 8}, 1));
+  }
+  const SearchSpace& space() const override { return space_; }
+  std::vector<core::RoutineSpec> routines() const override {
+    return {{"A", {1, 2}}, {"B", {3}}};
+  }
+  std::vector<std::string> outer_regions() const override { return {"Outer"}; }
+  search::RegionTimes evaluate_regions(const Config& c) override {
+    if (c[1] > 3.5) throw std::runtime_error("crash");
+    const double jitter = 1e-3 * static_cast<double>((calls_++ * 7919) % 13);
+    const double g = 1.0 + 4.0 / c[0];
+    search::RegionTimes t;
+    t.regions["A"] = g * (1.0 + (c[1] - 1.3) * (c[1] - 1.3) + (c[2] - 0.6) * (c[2] - 0.6));
+    t.regions["B"] = g * (1.0 + std::abs(std::log2(c[3] / 2.0))) + jitter;
+    t.regions["Outer"] = t.regions["A"] + t.regions["B"] + 0.3 * g + jitter;
+    t.total = t.regions["Outer"];
+    return t;
+  }
+
+ private:
+  SearchSpace space_;
+  std::size_t calls_ = 0;
+};
+
+TEST(BoEquivalence, PlanExecutorBlockingPathWithRepeats) {
+  JitteryApp app;
+  graph::SearchPlan plan;
+  plan.searches.push_back({"global", graph::SearchStageKind::SharedGlobal, 0, {}, {0}, {},
+                           {"Outer"}});
+  plan.searches.push_back({"A", graph::SearchStageKind::RoutineGroup, 1, {0}, {1, 2}, {},
+                           {"A"}});
+  plan.searches.push_back({"B", graph::SearchStageKind::RoutineGroup, 1, {1}, {3}, {},
+                           {"B"}});
+  core::ExecutorOptions opt;
+  opt.evals_per_param = 4;
+  opt.min_evals = 6;
+  opt.bo.seed = 17;
+  opt.measure.repeats = 3;
+  const auto exec = core::PlanExecutor(opt).execute(app, plan);
+  ASSERT_EQ(exec.outcomes.size(), 3u);
+  EXPECT_EQ(exec.outcomes[0].result.method, "bo");
+  EXPECT_EQ(exec.outcomes[1].result.method, "bo");
+  EXPECT_EQ(exec.outcomes[2].result.method, "enumerate");
+  ASSERT_EQ(kExecutorValues.size(), 3u);
+  for (std::size_t i = 0; i < exec.outcomes.size(); ++i) {
+    SCOPED_TRACE(exec.outcomes[i].planned.name);
+    expect_result(exec.outcomes[i].result, kExecutorValues[i], kExecutorBest[i]);
+  }
+  EXPECT_EQ(exec.final_config, kExecutorFinal);
 }
 
 }  // namespace

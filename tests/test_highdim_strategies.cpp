@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <ostream>
+#include <stdexcept>
 
 #include "bo/additive_bo.hpp"
 #include "bo/bayes_opt.hpp"
@@ -239,6 +243,60 @@ TEST(BayesOptBatch, EmptyDbThrows) {
   search::EvalDb db;
   EXPECT_THROW(BayesOpt().suggest_batch(db, space, 2), std::invalid_argument);
 }
+
+// --- Crash tolerance ---------------------------------------------------------
+
+struct CrashCase {
+  const char* name;
+  std::function<search::SearchResult(search::Objective&, const SearchSpace&)> run;
+};
+
+/// Keeps gtest's listed test names stable (no byte dump of the functor).
+void PrintTo(const CrashCase& c, std::ostream* os) { *os << c.name; }
+
+class CrashingObjective : public ::testing::TestWithParam<CrashCase> {};
+
+TEST_P(CrashingObjective, FailuresAreRecordedAndTheSearchCompletes) {
+  // A 6-dim bowl whose application crashes for x0 > 0.8.
+  auto bowl = additive_bowl(6);
+  FunctionObjective obj([&bowl](const Config& c) {
+    if (c[0] > 0.8) throw std::runtime_error("crash");
+    return bowl.evaluate(c);
+  });
+  const auto result = GetParam().run(obj, unit_cube(6));
+  EXPECT_EQ(result.evaluations, 30u);
+  const auto failures = std::count_if(result.values.begin(), result.values.end(),
+                                      [](double v) { return std::isnan(v); });
+  EXPECT_GT(failures, 0);
+  EXPECT_TRUE(std::isfinite(result.best_value));
+  ASSERT_EQ(result.best_config.size(), 6u);
+  EXPECT_LE(result.best_config[0], 0.8);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HighDimDrivers, CrashingObjective,
+    ::testing::Values(
+        CrashCase{"AdditiveBo",
+                  [](search::Objective& obj, const SearchSpace& space) {
+                    AdditiveBoOptions opt;
+                    opt.max_evals = 30;
+                    return AdditiveBo({{0, 1}, {2, 3}, {4, 5}}, opt).run(obj, space);
+                  }},
+        CrashCase{"DropoutBo",
+                  [](search::Objective& obj, const SearchSpace& space) {
+                    DropoutBoOptions opt;
+                    opt.max_evals = 30;
+                    opt.active_dims = 3;
+                    return DropoutBo(opt).run(obj, space);
+                  }},
+        CrashCase{"Rembo",
+                  [](search::Objective& obj, const SearchSpace& space) {
+                    RemboOptions opt;
+                    opt.max_evals = 30;
+                    opt.embedding_dims = 3;
+                    return Rembo(opt).run(obj, space);
+                  }}),
+    [](const ::testing::TestParamInfo<CrashCase>& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace tunekit::bo

@@ -15,7 +15,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
@@ -35,6 +34,7 @@
 #include "common/json.hpp"
 #include "core/app_registry.hpp"
 #include "robust/outcome.hpp"
+#include "robust/watchdog.hpp"
 
 namespace {
 
@@ -154,42 +154,24 @@ tunekit::json::Value handle_eval(tunekit::core::TunableApp& app,
     if (u < args.chaos_segv + args.chaos_hang) chaos_hang();
   }
 
-  EvalOutcome outcome = EvalOutcome::Ok;
-  std::string error;
-  tunekit::search::RegionTimes times;
+  // The in-process classifier, so an isolated evaluation records the same
+  // outcome as an unisolated one.
   const auto t0 = std::chrono::steady_clock::now();
-  try {
-    times = app.evaluate_regions(config);
-    if (!std::isfinite(times.total)) {
-      outcome = EvalOutcome::NonFinite;
-      error = "evaluation returned a non-finite total";
-    }
-  } catch (const tunekit::robust::EvalFailure& f) {
-    outcome = f.outcome();
-    error = f.what();
-  } catch (const std::invalid_argument& e) {
-    outcome = EvalOutcome::InvalidConfig;
-    error = e.what();
-  } catch (const std::exception& e) {
-    outcome = EvalOutcome::Crashed;
-    error = e.what();
-  } catch (...) {
-    outcome = EvalOutcome::Crashed;
-    error = "unknown exception";
-  }
+  const tunekit::robust::GuardedEval eval =
+      tunekit::robust::Watchdog().evaluate_regions(app, config);
   const auto t1 = std::chrono::steady_clock::now();
   const double cost = std::chrono::duration<double>(t1 - t0).count();
 
-  reply["outcome"] = tunekit::robust::to_string(outcome);
+  reply["outcome"] = tunekit::robust::to_string(eval.outcome);
   reply["cost"] = cost;
-  if (outcome == EvalOutcome::Ok) {
-    reply["value"] = times.total;
-    reply["total"] = times.total;
+  if (eval.outcome == EvalOutcome::Ok) {
+    reply["value"] = eval.regions.total;
+    reply["total"] = eval.regions.total;
     tunekit::json::Object regions;
-    for (const auto& [name, seconds] : times.regions) regions[name] = seconds;
+    for (const auto& [name, seconds] : eval.regions.regions) regions[name] = seconds;
     reply["regions"] = tunekit::json::Value(std::move(regions));
   }
-  if (!error.empty()) reply["error"] = error;
+  if (!eval.error.empty()) reply["error"] = eval.error;
 
   if (traced) {
     auto make_span = [](const char* name, std::int64_t start_ns,
