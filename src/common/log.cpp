@@ -46,7 +46,7 @@ std::string utc_timestamp() {
                   1000;
   std::tm tm{};
   gmtime_r(&secs, &tm);
-  char buf[40];
+  char buf[80];  // fits the format even for out-of-range int fields
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour, tm.tm_min,
                 tm.tm_sec, static_cast<int>(ms));

@@ -48,23 +48,6 @@ ExecutionResult PlanExecutor::execute(TunableApp& app,
   const search::SearchSpace& space = app.space();
   obs::Telemetry* telemetry = options_.telemetry;
 
-  // Process isolation: evaluate through sandboxed worker processes. The
-  // wrap happens at TunableApp level so subspace embedding stays on this
-  // side of the process boundary (full-space configs cross the wire), and
-  // the pool's SIGKILL deadline takes over from the in-process watchdog.
-  robust::IsolationOptions isolation = options_.isolation;
-  if (isolation.telemetry == nullptr) isolation.telemetry = telemetry;
-  const auto sandbox = robust::WorkerPool::create(
-      isolation, std::max<std::size_t>(1, options_.n_threads));
-  robust::MeasureOptions measure = options_.measure;
-  std::unique_ptr<robust::SandboxedApp> sandboxed;
-  if (sandbox) {
-    sandboxed = std::make_unique<robust::SandboxedApp>(
-        app, sandbox, measure.watchdog.timeout_seconds);
-    measure.watchdog.timeout_seconds = std::numeric_limits<double>::infinity();
-  }
-  TunableApp& eval_app = sandboxed ? *sandboxed : app;
-
   ExecutionResult exec;
   search::Config base = app.baseline();
   if (!space.is_valid(base)) {
@@ -129,7 +112,7 @@ ExecutionResult PlanExecutor::execute(TunableApp& app,
         return;
       }
 
-      RegionSumObjective region_obj(eval_app, planned.objective_regions);
+      RegionSumObjective region_obj(app, planned.objective_regions);
       search::SubspaceObjective sub_obj(region_obj, space, planned.params, base);
 
       const std::size_t budget = budgets[si];
@@ -174,12 +157,9 @@ ExecutionResult PlanExecutor::execute(TunableApp& app,
           session = std::make_unique<service::TuningSession>(sub_obj.space(), sopts,
                                                              journal);
         }
-        // The scheduler gets the stripped measure options and default
-        // (thread) isolation: sub_obj already routes through the sandbox, so
-        // giving the scheduler its own pool would double-sandbox.
         service::SchedulerOptions sched_opts;
         sched_opts.n_threads = options_.n_threads;
-        sched_opts.measure = measure;
+        sched_opts.measure = options_.measure;
         sched_opts.telemetry = telemetry;
         service::EvalScheduler scheduler(sched_opts);
         result = scheduler.run(*session, sub_obj);
@@ -191,15 +171,15 @@ ExecutionResult PlanExecutor::execute(TunableApp& app,
         search::GridSearchOptions grid_opts;
         if (options_.max_total_evals > 0) grid_opts.max_evals = budget;
         result = search::drive(sub_obj, search::GridSearch(grid_opts).proposer(sub_obj.space()),
-                               card, measure, telemetry, "enumerate");
+                               card, options_.measure, telemetry, "enumerate");
       } else {
         bo::BoOptions bo_opts = options_.bo;
         bo_opts.telemetry = telemetry;
         bo_opts.max_evals = budget;
         bo_opts.seed = options_.bo.seed + 7919 * (search_id + 1);
         const bo::BayesOpt driver(bo_opts);
-        result = search::drive(sub_obj, driver.proposer(sub_obj.space()), budget, measure,
-                               telemetry, "bo");
+        result = search::drive(sub_obj, driver.proposer(sub_obj.space()), budget,
+                               options_.measure, telemetry, "bo");
       }
 
       SearchOutcome outcome;
@@ -217,7 +197,7 @@ ExecutionResult PlanExecutor::execute(TunableApp& app,
     // With the session scheduler, n_threads parallelizes *within* each
     // search; running searches concurrently on top would nest thread pools.
     // (A sandboxed app is always thread-safe: workers are processes.)
-    const bool parallel = options_.n_threads > 1 && eval_app.thread_safe() &&
+    const bool parallel = options_.n_threads > 1 && app.thread_safe() &&
                           searches.size() > 1 && !options_.session_scheduler;
     if (parallel) {
       ThreadPool pool(std::min(options_.n_threads, searches.size()));
@@ -244,7 +224,7 @@ ExecutionResult PlanExecutor::execute(TunableApp& app,
   // same hardening. If even the final measurement fails, report NaN times
   // rather than aborting after the whole campaign succeeded.
   const robust::Measurement final_m =
-      robust::RobustMeasurer(measure).measure_regions(eval_app, base, telemetry);
+      robust::RobustMeasurer(options_.measure).measure_regions(app, base, telemetry);
   if (final_m.outcome == robust::EvalOutcome::Ok) {
     exec.final_times = final_m.regions;
   } else {

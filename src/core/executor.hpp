@@ -19,7 +19,6 @@
 #include "bo/bayes_opt.hpp"
 #include "graph/search_plan.hpp"
 #include "robust/measure.hpp"
-#include "robust/worker_pool.hpp"
 #include "search/grid_search.hpp"
 #include "search/objective.hpp"
 #include "search/result.hpp"
@@ -74,14 +73,9 @@ struct ExecutorOptions {
   /// Hardened-evaluation settings applied to every search evaluation:
   /// watchdog timeout, transient-crash retries, and repeats with MAD outlier
   /// rejection. Defaults are the seed behavior (one bare call, no deadline).
+  /// To run evaluations in worker processes, execute a robust::SandboxedApp
+  /// and leave the watchdog timeout infinite: the pool's deadline applies.
   robust::MeasureOptions measure;
-
-  /// IsolationMode::Process wraps the app in a SandboxedApp: every search
-  /// evaluation and the final confirming measurement run in worker
-  /// processes, the watchdog deadline becomes the workers' SIGKILL deadline,
-  /// and repeatedly-crashing configurations are quarantined. Defaults to
-  /// Thread — the in-process path.
-  robust::IsolationOptions isolation;
 
   /// Spans ("search.<name>" per planned search, propagated into the drivers)
   /// and evaluation metrics (null = disabled, the default).

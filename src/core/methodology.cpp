@@ -1,7 +1,6 @@
 #include "core/methodology.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <set>
 
 #include "common/log.hpp"
@@ -30,28 +29,7 @@ void add_phase_seconds(obs::Telemetry* telemetry, const char* phase, double seco
 
 Methodology::Methodology(MethodologyOptions options) : options_(std::move(options)) {}
 
-std::shared_ptr<robust::WorkerPool> Methodology::make_pool() const {
-  // The executor's spec wins when both phases request isolation — it carries
-  // the parallelism the pool should be sized for.
-  const robust::IsolationOptions* iso = nullptr;
-  if (options_.executor.isolation.mode == robust::IsolationMode::Process) {
-    iso = &options_.executor.isolation;
-  } else if (options_.sensitivity.isolation.mode == robust::IsolationMode::Process) {
-    iso = &options_.sensitivity.isolation;
-  }
-  if (!iso) return nullptr;
-  robust::IsolationOptions iso_copy = *iso;
-  if (iso_copy.telemetry == nullptr) iso_copy.telemetry = options_.telemetry;
-  return robust::WorkerPool::create(
-      iso_copy, std::max<std::size_t>(1, options_.executor.n_threads));
-}
-
 InfluenceAnalysis Methodology::analyze(TunableApp& app) const {
-  return analyze_impl(app, make_pool());
-}
-
-InfluenceAnalysis Methodology::analyze_impl(
-    TunableApp& app, std::shared_ptr<robust::WorkerPool> pool) const {
   const search::SearchSpace& space = app.space();
   const auto routines = app.routines();
   const auto outer = app.outer_regions();
@@ -60,10 +38,6 @@ InfluenceAnalysis Methodology::analyze_impl(
   // --- Phase 1/2: sensitivity analysis around the app's baseline. ---
   stats::SensitivityOptions sens_opts = options_.sensitivity;
   if (sens_opts.telemetry == nullptr) sens_opts.telemetry = telemetry;
-  if (pool) {
-    sens_opts.isolation.mode = robust::IsolationMode::Process;
-    sens_opts.isolation.pool = pool;
-  }
   if (options_.use_app_expert_variations) {
     const auto expert = app.expert_variations();
     if (!expert.empty() && sens_opts.expert_values.empty()) {
@@ -131,24 +105,18 @@ InfluenceAnalysis Methodology::analyze_impl(
     }
     tunekit::Rng rng(options_.seed ^ 0xfeedface);
     const auto configs = search::sample_valid_configs(space, n, rng);
-    // Importance samples are random configurations — exactly the kind of
-    // probing most likely to hit a crashing corner of the space, so with
-    // isolation active they run out of process too.
-    std::unique_ptr<robust::SandboxedApp> sandboxed;
-    if (pool) {
-      sandboxed = std::make_unique<robust::SandboxedApp>(
-          app, pool, options_.sensitivity.measure.watchdog.timeout_seconds);
-    }
-    TunableApp& eval_app = sandboxed ? *sandboxed : app;
-    // A flaky app must not abort the whole analysis: failed or non-finite
-    // samples are dropped and the forest fits whatever survived.
+    // A flaky app must not abort the whole analysis: failed, hung or
+    // non-finite samples are dropped and the forest fits whatever survived.
+    // One measurement each, under the analysis' deadline and retry policy.
     std::vector<std::vector<double>> units;
     std::vector<double> y;
     units.reserve(n);
     y.reserve(n);
-    const robust::RobustMeasurer measurer;
+    robust::MeasureOptions sample_measure;
+    sample_measure.watchdog = options_.sensitivity.measure.watchdog;
+    const robust::RobustMeasurer measurer(sample_measure);
     for (std::size_t i = 0; i < n; ++i) {
-      const robust::Measurement m = measurer.measure(eval_app, configs[i], telemetry);
+      const robust::Measurement m = measurer.measure(app, configs[i], telemetry);
       if (robust::is_failure(m.outcome)) {
         log_warn("methodology: importance sample failed as ", robust::to_string(m.outcome),
                  " (", m.error, "); dropped");
@@ -201,11 +169,7 @@ MethodologyResult Methodology::run(TunableApp& app) const {
   Stopwatch watch;
   obs::Telemetry* telemetry = options_.telemetry;
   obs::ScopedSpan run_span(telemetry, "methodology.run");
-  // One shared pool for every phase: quarantine knowledge gathered during
-  // the analysis protects the execution phase (and vice versa), and workers
-  // survive across phases instead of respawning.
-  const auto pool = make_pool();
-  MethodologyResult result{analyze_impl(app, pool), {}, {}, 0, 0.0};
+  MethodologyResult result{analyze(app), {}, {}, 0, 0.0};
   {
     obs::ScopedSpan part_span(telemetry, "phase.partition");
     Stopwatch part_watch;
@@ -215,10 +179,6 @@ MethodologyResult Methodology::run(TunableApp& app) const {
 
   ExecutorOptions exec_opts = options_.executor;
   if (exec_opts.telemetry == nullptr) exec_opts.telemetry = telemetry;
-  if (pool) {
-    exec_opts.isolation.mode = robust::IsolationMode::Process;
-    exec_opts.isolation.pool = pool;
-  }
   PlanExecutor executor(exec_opts);
   {
     obs::ScopedSpan exec_span(telemetry, "phase.execution");

@@ -11,10 +11,11 @@
 //
 // analyze() performs phases 1-3, make_plan() phase 4-5, and run() executes
 // the plan with the chosen search backend (BO by default) through
-// PlanExecutor.
+// PlanExecutor. Every evaluation of every phase goes through the app it is
+// given: pass a robust::SandboxedApp to run them all in one shared pool of
+// worker processes.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "bo/bayes_opt.hpp"
@@ -57,7 +58,8 @@ struct MethodologyOptions {
 
   /// Feature-importance dataset size (0 disables the random-forest step and
   /// ranks by influence instead). The one-in-ten rule is checked and a
-  /// warning logged when violated.
+  /// warning logged when violated. Each sample is measured once under
+  /// sensitivity.measure.watchdog; failed samples are dropped.
   std::size_t importance_samples = 100;
   stats::ForestOptions forest;
 
@@ -113,14 +115,6 @@ class Methodology {
   MethodologyResult run(TunableApp& app) const;
 
  private:
-  /// One worker pool for the whole pipeline, built from whichever phase
-  /// requested process isolation — sensitivity, importance sampling, and
-  /// execution then share workers and quarantine knowledge. Null when no
-  /// phase asked for isolation (or the pool could not start).
-  std::shared_ptr<robust::WorkerPool> make_pool() const;
-  InfluenceAnalysis analyze_impl(TunableApp& app,
-                                 std::shared_ptr<robust::WorkerPool> pool) const;
-
   MethodologyOptions options_;
 };
 

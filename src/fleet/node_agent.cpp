@@ -7,7 +7,7 @@
 #include <limits>
 #include <thread>
 
-#include "common/hash.hpp"
+#include "common/backoff.hpp"
 #include "common/log.hpp"
 #include "net/deadline.hpp"
 #include "robust/worker_pool.hpp"
@@ -38,19 +38,13 @@ std::string default_node_id() {
   return std::string(host) + "-" + std::to_string(::getpid());
 }
 
-/// Reconnect backoff: exponential in `failures`, capped, then shortened by
-/// up to 20% by a deterministic (node_id, failures) factor — when the
+/// Reconnect backoff: base * 2^failures, capped and jittered — when the
 /// dispatcher restarts, a whole fleet of agents must not redial in lockstep.
 double reconnect_backoff_s(const NodeAgentOptions& options,
                            const std::string& node_id, std::size_t failures) {
-  const double base = std::min(
-      options.reconnect_base_s *
-          static_cast<double>(1ull << std::min<std::size_t>(failures, 10)),
-      options.reconnect_max_s);
-  const std::uint64_t h =
-      common::stable_hash(node_id) ^ static_cast<std::uint64_t>(failures);
-  const double jitter = 1.0 - 0.2 * (static_cast<double>(h % 1000) / 999.0);
-  return base * jitter;
+  return common::jittered_backoff_s(options.reconnect_base_s, options.reconnect_max_s,
+                                    std::min<std::size_t>(failures, 10), node_id,
+                                    failures);
 }
 
 }  // namespace

@@ -2,28 +2,17 @@
 
 #include <algorithm>
 
-#include "common/hash.hpp"
+#include "common/backoff.hpp"
 
 namespace tunekit::fleet {
 
 namespace {
 
-/// Re-admission backoff with deterministic jitter: base * 2^(deaths-1),
-/// capped, then shortened by up to 20% by a factor derived from (id, deaths).
-/// Without jitter a correlated outage (rack power blip) synchronizes every
-/// node's backoff clock and they all stampede the dispatcher at the same
-/// instant. Subtract-only jitter keeps the exponential window an upper bound
-/// (a node is never quarantined longer than the advertised policy), and
-/// hashing keeps the spread reproducible for tests.
+/// Re-admission backoff: base * 2^(deaths-1), capped and jittered.
 double backoff_s(const RegistryOptions& options, const std::string& id,
                  std::size_t deaths) {
-  const double base = std::min(
-      options.readmit_base_s *
-          static_cast<double>(1ull << std::min<std::size_t>(deaths - 1, 20)),
-      options.readmit_max_s);
-  const std::uint64_t h = common::stable_hash(id) ^ static_cast<std::uint64_t>(deaths);
-  const double jitter = 1.0 - 0.2 * (static_cast<double>(h % 1000) / 999.0);
-  return base * jitter;
+  return common::jittered_backoff_s(options.readmit_base_s, options.readmit_max_s,
+                                    std::min<std::size_t>(deaths - 1, 20), id, deaths);
 }
 
 }  // namespace

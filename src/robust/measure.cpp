@@ -17,10 +17,6 @@ double mean_of(const std::vector<double>& v) { return stats::mean(v); }
 
 }  // namespace
 
-bool is_trivial(const MeasureOptions& options) {
-  return options.repeats <= 1 && Watchdog(options.watchdog).trivial();
-}
-
 double median_of(std::vector<double> values) {
   if (values.empty()) return std::numeric_limits<double>::quiet_NaN();
   return stats::median(std::move(values));

@@ -42,9 +42,6 @@ struct MeasureOptions {
   WatchdogOptions watchdog;
 };
 
-/// True when the options reduce to one bare objective call.
-bool is_trivial(const MeasureOptions& options);
-
 struct Measurement {
   EvalOutcome outcome = EvalOutcome::Crashed;
   /// MAD-trimmed mean of the successful samples; NaN unless outcome == Ok.

@@ -87,9 +87,19 @@ Attempt attempt_with_deadline(
     worker.join();
     return a;
   }
+  // Give the attempt one more deadline to acknowledge the cancel. A
+  // cooperative objective returns within it and is joined, so the caller may
+  // destroy the objective (and anything else the attempt touched) the moment
+  // this returns. Only an attempt that ignores the flag is abandoned.
   cancel.cancel();
+  const bool acknowledged = state->cv.wait_for(
+      lock, std::chrono::duration<double>(timeout_seconds), [&] { return state->done; });
   lock.unlock();
-  worker.detach();
+  if (acknowledged) {
+    worker.join();
+  } else {
+    worker.detach();
+  }
   Attempt a;
   a.outcome = EvalOutcome::TimedOut;
   a.error = "deadline of " + std::to_string(timeout_seconds) + "s expired";
@@ -97,10 +107,6 @@ Attempt attempt_with_deadline(
 }
 
 }  // namespace
-
-bool Watchdog::trivial() const {
-  return !std::isfinite(options_.timeout_seconds) && options_.max_retries == 0;
-}
 
 GuardedEval Watchdog::guard(
     const std::function<search::RegionTimes(const search::CancelFlag&)>& call) const {
@@ -134,7 +140,9 @@ GuardedEval Watchdog::guard(
 
 GuardedEval Watchdog::evaluate(search::Objective& objective,
                                const search::Config& config) const {
-  return guard([&objective, &config](const search::CancelFlag& cancel) {
+  // `config` is captured by value: an abandoned attempt must not read the
+  // caller's copy after evaluate() has returned.
+  return guard([&objective, config](const search::CancelFlag& cancel) {
     search::RegionTimes t;
     t.total = objective.evaluate_cancellable(config, cancel);
     return t;
@@ -143,7 +151,7 @@ GuardedEval Watchdog::evaluate(search::Objective& objective,
 
 GuardedEval Watchdog::evaluate_regions(search::RegionObjective& objective,
                                        const search::Config& config) const {
-  return guard([&objective, &config](const search::CancelFlag& cancel) {
+  return guard([&objective, config](const search::CancelFlag& cancel) {
     return objective.evaluate_regions_cancellable(config, cancel);
   });
 }

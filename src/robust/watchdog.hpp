@@ -5,12 +5,14 @@
 // routine).
 //
 // With a finite timeout the evaluation runs on a worker thread holding a
-// CancelFlag. If the deadline passes, the flag is set, the worker is
-// abandoned (detached; its shared state keeps it memory-safe) and the caller
-// gets EvalOutcome::TimedOut immediately — the tuner stops waiting. A
-// cooperative objective polls the flag and exits promptly; a non-cooperative
-// one keeps its thread until the evaluation finishes on its own, which is
-// the best any in-process watchdog can do without killing threads.
+// CancelFlag. If the deadline passes, the flag is set and the caller gets
+// EvalOutcome::TimedOut. A cooperative objective polls the flag and exits
+// promptly; the watchdog waits up to one more deadline for that and joins
+// the thread, so nothing outlives the call. A non-cooperative one is
+// abandoned (detached; its shared state keeps it memory-safe) and keeps its
+// thread until the evaluation finishes on its own, which is the best any
+// in-process watchdog can do without killing threads. Such an objective
+// must outlive its abandoned attempts.
 //
 // Transient crashes (EvalOutcome::Crashed) are re-attempted up to
 // `max_retries` times with bounded exponential backoff. Timeouts and invalid
@@ -58,10 +60,6 @@ class Watchdog {
   explicit Watchdog(WatchdogOptions options = {}) : options_(options) {}
 
   const WatchdogOptions& options() const { return options_; }
-
-  /// True when the options add nothing over a bare objective call (no
-  /// deadline, no retries) — callers may skip thread setup entirely.
-  bool trivial() const;
 
   GuardedEval evaluate(search::Objective& objective, const search::Config& config) const;
   GuardedEval evaluate_regions(search::RegionObjective& objective,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <stdexcept>
 #include <thread>
 
 #include "common/log.hpp"
@@ -10,42 +9,26 @@
 
 namespace tunekit::robust {
 
-const char* to_string(IsolationMode mode) {
-  switch (mode) {
-    case IsolationMode::Thread: return "thread";
-    case IsolationMode::Process: return "process";
-  }
-  return "?";
-}
-
-IsolationMode isolation_from_string(const std::string& name) {
-  if (name == "thread") return IsolationMode::Thread;
-  if (name == "process") return IsolationMode::Process;
-  throw std::invalid_argument("unknown isolation mode '" + name +
-                              "' (expected thread or process)");
-}
-
-std::shared_ptr<WorkerPool> WorkerPool::create(const IsolationOptions& iso,
-                                               std::size_t n_workers) {
-  if (iso.mode != IsolationMode::Process) return nullptr;
-  if (iso.pool) return iso.pool;
+std::shared_ptr<WorkerPool> WorkerPool::create(const SandboxOptions& sandbox,
+                                               std::size_t n_workers,
+                                               std::size_t quarantine_after,
+                                               obs::Telemetry* telemetry) {
   if (!process_sandbox_supported()) {
     log_warn("sandbox: process isolation requested but unsupported on this "
              "platform; falling back to in-process evaluation");
     return nullptr;
   }
-  if (iso.sandbox.argv.empty()) {
+  if (sandbox.argv.empty()) {
     log_warn("sandbox: process isolation requested but no worker binary "
              "configured; falling back to in-process evaluation");
     return nullptr;
   }
-  auto pool = std::make_shared<WorkerPool>(iso.sandbox,
-                                           std::max<std::size_t>(1, n_workers),
-                                           iso.quarantine_after, iso.telemetry);
+  auto pool = std::make_shared<WorkerPool>(sandbox, n_workers, quarantine_after,
+                                           telemetry);
   // Spawn-check one worker up front: a missing or broken binary should
   // degrade immediately (and loudly), not fail every evaluation one by one.
   if (!pool->healthy()) {
-    log_warn("sandbox: worker '", iso.sandbox.argv[0],
+    log_warn("sandbox: worker '", sandbox.argv[0],
              "' could not be started; falling back to in-process evaluation");
     return nullptr;
   }
@@ -278,7 +261,7 @@ double SandboxedObjective::evaluate(const search::Config& config) {
   return r.value;
 }
 
-search::RegionTimes SandboxedRegionObjective::evaluate_regions(
+search::RegionTimes SandboxedApp::evaluate_regions(
     const search::Config& config) {
   const SandboxResult r = pool_->evaluate(config, deadline_seconds_);
   if (r.outcome != EvalOutcome::Ok) throw_failure(r);

@@ -1,22 +1,23 @@
 #pragma once
 // WorkerPool: a supervised pool of sandboxed worker processes, plus the
-// objective adapters that let every existing evaluation path (scheduler,
-// sensitivity analysis, plan executor) route its calls through it.
+// adapters that route evaluations through it (or through any EvalBackend).
 //
 // The pool owns N WorkerProcess slots. evaluate() checks the crash
 // quarantine, checks out a slot (blocking until one is free), lazily
 // (re)spawns its worker with bounded exponential backoff, runs the round
 // trip, and — when the worker died — schedules a respawn for the next
 // checkout. A slot whose worker dies `max_restarts` times in a row stops
-// respawning; when every slot has given up the pool reports unhealthy and
-// callers degrade to the in-process path.
+// respawning; once every slot has given up, evaluate() returns Crashed
+// ("restart budget exhausted") and healthy() is false. Only a pool that
+// cannot start at all degrades: create() then returns null and the caller
+// keeps evaluating in process.
 //
-// Isolation is threaded through the rest of the system as IsolationOptions:
-// SchedulerOptions, stats::SensitivityOptions, and core::ExecutorOptions all
-// carry one, defaulting to IsolationMode::Thread (the PR-2 in-process
-// watchdog — exactly the old behavior). Methodology shares a single pool
-// across the sensitivity and execution phases so quarantine knowledge and
-// worker restarts carry over.
+// Where evaluations run is decided once, by whoever builds the pool: a
+// caller that wants isolation wraps its app in a SandboxedApp (the
+// methodology, the executor and the sensitivity analysis then see an
+// ordinary thread-safe TunableApp) or hands the pool to
+// SchedulerOptions::backend. Sharing one pool across phases carries
+// quarantine knowledge and live workers over from one phase to the next.
 
 #include <atomic>
 #include <condition_variable>
@@ -38,32 +39,6 @@ class Telemetry;
 
 namespace tunekit::robust {
 
-enum class IsolationMode {
-  Thread,   ///< PR-2 in-process watchdog (cooperative cancel, detached threads).
-  Process,  ///< Out-of-process workers, SIGKILL deadlines, crash quarantine.
-};
-
-const char* to_string(IsolationMode mode);
-/// Parses "thread" / "process"; throws std::invalid_argument otherwise.
-IsolationMode isolation_from_string(const std::string& name);
-
-class WorkerPool;
-
-struct IsolationOptions {
-  IsolationMode mode = IsolationMode::Thread;
-  /// Worker process settings (Process mode).
-  SandboxOptions sandbox;
-  /// Crashes of one config before it is quarantined (0 disables).
-  std::size_t quarantine_after = 2;
-  /// A pre-built pool to share across phases (e.g. Methodology runs
-  /// sensitivity and execution against the same workers). When null, each
-  /// consumer creates its own from `sandbox`.
-  std::shared_ptr<WorkerPool> pool;
-  /// Telemetry to trace rpc round trips and worker-side timings into
-  /// (null = disabled; the hot path then costs one branch).
-  obs::Telemetry* telemetry = nullptr;
-};
-
 class WorkerPool final : public EvalBackend {
  public:
   struct Stats {
@@ -77,12 +52,14 @@ class WorkerPool final : public EvalBackend {
     std::atomic<std::size_t> quarantine_hits{0}; ///< evals refused pre-dispatch
   };
 
-  /// Build a pool of `n_workers` per `iso`, or return iso.pool when the
-  /// caller was handed a shared one. Returns null — after a log_warn — when
-  /// isolation is not requested, unsupported, unconfigured, or the first
-  /// worker cannot be spawned (callers degrade to the in-process path).
-  static std::shared_ptr<WorkerPool> create(const IsolationOptions& iso,
-                                            std::size_t n_workers);
+  /// Build a pool of `n_workers`. Returns null — after a log_warn — when
+  /// the platform has no process sandbox, no worker binary is configured,
+  /// or the first worker cannot be spawned (callers degrade to the
+  /// in-process path).
+  static std::shared_ptr<WorkerPool> create(const SandboxOptions& sandbox,
+                                            std::size_t n_workers,
+                                            std::size_t quarantine_after = 2,
+                                            obs::Telemetry* telemetry = nullptr);
 
   WorkerPool(SandboxOptions sandbox, std::size_t n_workers,
              std::size_t quarantine_after = 2,
@@ -150,34 +127,18 @@ class SandboxedObjective final : public search::Objective {
   double deadline_seconds_;
 };
 
-/// Region-reporting variant: what the sensitivity analysis consumes.
-class SandboxedRegionObjective final : public search::RegionObjective {
- public:
-  SandboxedRegionObjective(std::shared_ptr<EvalBackend> pool, double deadline_seconds)
-      : pool_(std::move(pool)), deadline_seconds_(deadline_seconds) {}
-
-  search::RegionTimes evaluate_regions(const search::Config& config) override;
-  search::RegionTimes evaluate_regions_cancellable(
-      const search::Config& config, const search::CancelFlag&) override {
-    return evaluate_regions(config);
-  }
-  bool thread_safe() const override { return true; }
-
- private:
-  std::shared_ptr<EvalBackend> pool_;
-  double deadline_seconds_;
-};
-
 /// TunableApp decorator: metadata (space, routines, baseline, ...) comes
 /// from the in-process app object; evaluations run out of process on the
-/// pool. This is the wrapping point for the executor and methodology — the
-/// full-space config crosses the process boundary, so subspace embedding
-/// stays supervisor-side where the base configuration lives.
+/// pool, under its SIGKILL `deadline_seconds`. Every phase of the
+/// methodology evaluates through it — the full-space config crosses the
+/// process boundary, so subspace embedding stays supervisor-side where the
+/// base configuration lives. Callers measure it with an infinite watchdog
+/// timeout: the pool's deadline replaces the in-process one.
 class SandboxedApp final : public core::TunableApp {
  public:
   SandboxedApp(core::TunableApp& inner, std::shared_ptr<EvalBackend> pool,
                double deadline_seconds)
-      : inner_(inner), eval_(std::move(pool), deadline_seconds) {}
+      : inner_(inner), pool_(std::move(pool)), deadline_seconds_(deadline_seconds) {}
 
   const search::SearchSpace& space() const override { return inner_.space(); }
   std::vector<core::RoutineSpec> routines() const override { return inner_.routines(); }
@@ -193,12 +154,11 @@ class SandboxedApp final : public core::TunableApp {
   }
   std::string name() const override { return inner_.name(); }
 
-  search::RegionTimes evaluate_regions(const search::Config& config) override {
-    return eval_.evaluate_regions(config);
-  }
+  search::RegionTimes evaluate_regions(const search::Config& config) override;
+  /// The pool enforces its own (SIGKILL) deadline; the flag is ignored.
   search::RegionTimes evaluate_regions_cancellable(
       const search::Config& config, const search::CancelFlag&) override {
-    return eval_.evaluate_regions(config);
+    return evaluate_regions(config);
   }
   /// Worker processes are independent; concurrent evaluations are safe
   /// regardless of the inner app's thread safety.
@@ -206,7 +166,8 @@ class SandboxedApp final : public core::TunableApp {
 
  private:
   core::TunableApp& inner_;
-  SandboxedRegionObjective eval_;
+  std::shared_ptr<EvalBackend> pool_;
+  double deadline_seconds_;
 };
 
 }  // namespace tunekit::robust

@@ -10,6 +10,7 @@
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/telemetry.hpp"
+#include "robust/worker_pool.hpp"
 
 namespace tunekit::service {
 
@@ -32,23 +33,16 @@ search::SearchResult EvalScheduler::run_impl(TuningSession& session,
   obs::Telemetry* telemetry = options_.telemetry;
   const bool traced = telemetry != nullptr && telemetry->enabled();
 
-  // Resolve the evaluation backend: an explicit one (shared pool or fleet
-  // dispatcher) wins; otherwise process isolation builds a WorkerPool. The
-  // backend's SIGKILL/transport deadline takes over from the in-process
-  // watchdog (two competing timers would double-classify), and thread-safety
-  // of the in-process objective no longer matters — slots are independent.
-  std::shared_ptr<robust::EvalBackend> backend = options_.backend;
-  if (backend) {
-    if (n_threads == 0) n_threads = std::max<std::size_t>(1, backend->concurrency());
-  } else {
-    if (n_threads == 0) {
-      n_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    }
-    robust::IsolationOptions isolation = options_.isolation;
-    if (isolation.telemetry == nullptr) isolation.telemetry = telemetry;
-    backend = robust::WorkerPool::create(isolation, n_threads);
-    if (!backend && !objective->thread_safe()) n_threads = 1;
+  // A backend (worker pool or fleet dispatcher) takes over from the
+  // in-process objective: its SIGKILL/transport deadline replaces the
+  // watchdog (two competing timers would double-classify), and the
+  // objective's thread-safety no longer matters — slots are independent.
+  const std::shared_ptr<robust::EvalBackend>& backend = options_.backend;
+  if (n_threads == 0) {
+    n_threads = backend ? backend->concurrency() : std::thread::hardware_concurrency();
+    n_threads = std::max<std::size_t>(1, n_threads);
   }
+  if (!backend && !objective->thread_safe()) n_threads = 1;
   const std::size_t batch_size =
       options_.batch_size > 0 ? options_.batch_size : n_threads;
 

@@ -20,7 +20,7 @@
 #include <cstddef>
 
 #include "robust/measure.hpp"
-#include "robust/worker_pool.hpp"
+#include "robust/eval_backend.hpp"
 #include "search/objective.hpp"
 #include "search/result.hpp"
 #include "service/session.hpp"
@@ -32,23 +32,19 @@ class Telemetry;
 namespace tunekit::service {
 
 struct SchedulerOptions {
-  /// Worker threads; 0 = hardware_concurrency(). Forced to 1 when the
-  /// objective is not thread-safe (unless process isolation is active —
-  /// worker processes are independent regardless of the objective).
+  /// Worker threads; 0 = hardware_concurrency(), or the backend's
+  /// concurrency() when one is set. Forced to 1 when the in-process
+  /// objective is not thread-safe.
   std::size_t n_threads = 0;
   /// Candidates requested per ask(); 0 = one per worker.
   std::size_t batch_size = 0;
   /// Watchdog timeout, transient-crash retries, and repeat count applied to
   /// every evaluation. Defaults reproduce the seed behavior (one bare call).
   robust::MeasureOptions measure;
-  /// IsolationMode::Process routes every evaluation to a pool of sandboxed
-  /// worker processes; the in-process watchdog timeout is then disabled in
-  /// favor of the pool's SIGKILL deadline. Defaults to Thread (old behavior).
-  robust::IsolationOptions isolation;
-  /// Explicit evaluation backend (a shared WorkerPool or a fleet
-  /// dispatcher). When set it wins over `isolation` — the scheduler drives
-  /// it directly, with no branching on where the slots live — and
-  /// `n_threads`/`batch_size` default to its concurrency().
+  /// Evaluation backend (a WorkerPool or a fleet dispatcher). When set,
+  /// every evaluation goes to it instead of the in-process objective, under
+  /// the backend's own deadline (measure.watchdog.timeout_seconds, passed
+  /// through); `n_threads`/`batch_size` default to its concurrency().
   std::shared_ptr<robust::EvalBackend> backend;
   /// Spans ("scheduler.batch" → "eval") and evaluation counters/histograms
   /// (null = disabled, the default; the disabled path is a single branch).

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <memory>
 #include <stdexcept>
 
 #include "common/log.hpp"
@@ -149,26 +147,12 @@ SensitivityReport SensitivityAnalyzer::analyze(search::RegionObjective& objectiv
   if (!space.is_valid(baseline)) {
     throw std::invalid_argument("SensitivityAnalyzer: baseline configuration is invalid");
   }
-  // Process isolation: observations run in sandboxed worker processes, where
-  // the pool's SIGKILL deadline replaces the in-process watchdog (the
-  // analysis itself is sequential, so one worker suffices).
-  robust::MeasureOptions measure = options_.measure;
-  robust::IsolationOptions isolation = options_.isolation;
-  if (isolation.telemetry == nullptr) isolation.telemetry = options_.telemetry;
-  std::unique_ptr<robust::SandboxedRegionObjective> sandboxed;
-  if (auto pool = robust::WorkerPool::create(isolation, 1)) {
-    sandboxed = std::make_unique<robust::SandboxedRegionObjective>(
-        pool, measure.watchdog.timeout_seconds);
-    measure.watchdog.timeout_seconds = std::numeric_limits<double>::infinity();
-  }
-  search::RegionObjective& measured = sandboxed ? *sandboxed : objective;
-
   // The baseline anchors every score in the analysis, so it gets the full
   // robust treatment: watchdog, repeats, outlier rejection. If even the
   // re-measured baseline fails there is nothing to normalize against.
-  const robust::RobustMeasurer measurer(measure);
+  const robust::RobustMeasurer measurer(options_.measure);
   const robust::Measurement base_m =
-      measurer.measure_regions(measured, baseline, options_.telemetry);
+      measurer.measure_regions(objective, baseline, options_.telemetry);
   if (base_m.outcome != robust::EvalOutcome::Ok) {
     throw std::invalid_argument(
         std::string("SensitivityAnalyzer: baseline measurement failed as ") +
@@ -222,7 +206,7 @@ SensitivityReport SensitivityAnalyzer::analyze(search::RegionObjective& objectiv
                                  space.param(p).name() + "'");
       }
       const robust::Measurement m =
-          measurer.measure_regions(measured, varied, options_.telemetry);
+          measurer.measure_regions(objective, varied, options_.telemetry);
       report.observations += m.n_samples;
       if (m.outcome != robust::EvalOutcome::Ok) {
         // A failed variation is data lost, not an analysis abort: the score

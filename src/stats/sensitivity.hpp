@@ -26,7 +26,6 @@
 #include "common/rng.hpp"
 #include "linalg/matrix.hpp"
 #include "robust/measure.hpp"
-#include "robust/worker_pool.hpp"
 #include "search/objective.hpp"
 #include "search/space.hpp"
 
@@ -58,11 +57,6 @@ struct SensitivityOptions {
   /// measurements are skipped and counted instead of aborting the analysis.
   /// Defaults reproduce the seed behavior (one bare call per observation).
   robust::MeasureOptions measure;
-
-  /// IsolationMode::Process routes every observation to a sandboxed worker
-  /// process (the in-process watchdog deadline then becomes the worker's
-  /// SIGKILL deadline). Defaults to Thread — the in-process path.
-  robust::IsolationOptions isolation;
 
   /// Spans ("eval" per baseline/variation measurement) and evaluation
   /// counters (null = disabled, the default).

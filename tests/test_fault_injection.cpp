@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "common/log.hpp"
+#include "common/stopwatch.hpp"
 #include "core/methodology.hpp"
 #include "robust/fault_injection.hpp"
 #include "robust/measure.hpp"
@@ -106,6 +108,43 @@ TEST(FaultInjection, MethodologyRunSurvivesAcceptanceFaults) {
   }
   EXPECT_GT(failed_evals, 0u);
   EXPECT_GT(finite_evals, 0u);
+}
+
+// --- Importance samples: measured under the analysis' watchdog. ---
+
+TEST(FaultInjection, ImportanceSamplesHonorTheWatchdog) {
+  synth::SynthApp app(synth::SynthCase::Case1, /*noise_scale=*/0.0);
+  robust::FaultOptions fopts;
+  fopts.hang_prob = 0.2;
+  fopts.hang_seconds = 5.0;
+  fopts.seed = 1;  // the baseline (first call) does not hang
+  robust::FaultyApp faulty(app, fopts);
+
+  core::MethodologyOptions opt;
+  opt.cutoff = 0.25;
+  opt.sensitivity.n_variations = 2;
+  opt.sensitivity.measure.watchdog.timeout_seconds = 0.1;
+  opt.importance_samples = 20;
+
+  std::size_t dropped = 0;
+  LogSink previous = set_log_sink([&](LogLevel, const std::string& msg) {
+    if (msg.rfind("methodology: importance sample failed", 0) == 0) ++dropped;
+  });
+  Stopwatch watch;
+  const auto analysis = core::Methodology(opt).analyze(faulty);
+  const double seconds = watch.seconds();
+  set_log_sink(std::move(previous));
+
+  // Hangs are the only fault, so every hang the sensitivity analysis did not
+  // lose fell on an importance sample.
+  const std::size_t sample_hangs =
+      faulty.stats().hangs.load() - analysis.sensitivity.failed_observations;
+  ASSERT_GT(sample_hangs, 0u) << "no importance sample hung; the test is vacuous";
+  // Each hung sample was cut at the 0.1 s deadline and dropped, instead of
+  // costing a full hang and entering the forest as a straggler.
+  EXPECT_LT(seconds, fopts.hang_seconds);
+  EXPECT_EQ(dropped, sample_hangs);
+  EXPECT_FALSE(analysis.importance.empty());
 }
 
 // --- Journaled scheduler session: completion + failure classification. ---

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/backoff.hpp"
 #include "common/hash.hpp"
 #include "fleet/node_agent.hpp"
 #include "fleet/registry.hpp"
@@ -116,6 +117,38 @@ TEST(NodeRegistry, ReadmissionBackoffJitterIsDeterministicAndSubtractOnly) {
   const auto other = reg.admit("other-node", 4, 100.0);
   ASSERT_FALSE(other.ok);
   EXPECT_NE(other.retry_after_s, retry[0]);
+}
+
+TEST(JitteredBackoff, PinsRegistryAndAgentSchedules) {
+  // NodeRegistry re-admission: 1 s doubling per death from the first, 60 s
+  // cap, jitter keyed on (id, deaths).
+  const std::size_t deaths[] = {1, 2, 3, 7, 30};
+  const double readmit[] = {0.9001001001001001, 1.8014014014014013, 3.602002002002002,
+                            53.98198198198198, 54.090090090090094};
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_DOUBLE_EQ(common::jittered_backoff_s(
+                         1.0, 60.0, std::min<std::size_t>(deaths[i] - 1, 20), "n1", deaths[i]),
+                     readmit[i])
+        << "deaths " << deaths[i];
+  }
+  // The registry reports exactly that window.
+  NodeRegistry reg{RegistryOptions{}};
+  ASSERT_TRUE(reg.admit("n1", 2, 0.0).ok);
+  reg.mark_dead("n1", 0.0);
+  EXPECT_DOUBLE_EQ(reg.admit("n1", 2, 0.0).retry_after_s, readmit[0]);
+
+  // NodeAgent reconnect: 0.5 s doubling per failure, 10 s cap, at most 10
+  // doublings, jitter keyed on (node id, failures).
+  const std::size_t failures[] = {0, 1, 2, 5, 30};
+  const double reconnect[] = {0.45585585585585586, 0.9119119119119119, 1.8226226226226225,
+                              9.11111111111111, 9.057057057057058};
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_DOUBLE_EQ(common::jittered_backoff_s(0.5, 10.0,
+                                                std::min<std::size_t>(failures[i], 10),
+                                                "node-a", failures[i]),
+                     reconnect[i])
+        << "failures " << failures[i];
+  }
 }
 
 // --- CircuitBreaker: the per-node trip/cool-down/probe state machine. ---

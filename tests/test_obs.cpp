@@ -329,11 +329,9 @@ TEST(Telemetry, WorkerSpansStitchAcrossProcessBoundary) {
   obs::Telemetry telemetry;
   telemetry.enable();
 
-  robust::IsolationOptions iso;
-  iso.mode = robust::IsolationMode::Process;
-  iso.sandbox.argv = {TUNEKIT_WORKER_BIN, "--app", "synth:case1", "--seed", "7"};
-  iso.telemetry = &telemetry;
-  auto pool = robust::WorkerPool::create(iso, 1);
+  robust::SandboxOptions sandbox;
+  sandbox.argv = {TUNEKIT_WORKER_BIN, "--app", "synth:case1", "--seed", "7"};
+  auto pool = robust::WorkerPool::create(sandbox, 1, /*quarantine_after=*/2, &telemetry);
   ASSERT_NE(pool, nullptr);
 
   core::AppBundle bundle = core::make_builtin_app("synth:case1", 7);

@@ -216,24 +216,16 @@ TEST(ProcessSandbox, TimeoutsDoNotCountTowardQuarantine) {
 }
 
 TEST(ProcessSandbox, CreateDegradesOnMissingBinary) {
-  robust::IsolationOptions iso;
-  iso.mode = robust::IsolationMode::Process;
-  iso.sandbox.argv = {"/nonexistent/tunekit_worker_that_is_not_there"};
-  EXPECT_EQ(WorkerPool::create(iso, 2), nullptr);
-}
-
-TEST(ProcessSandbox, CreateReturnsNullInThreadMode) {
-  robust::IsolationOptions iso;  // defaults to Thread
-  iso.sandbox.argv = {TUNEKIT_CRASH_FIXTURE_BIN};
-  EXPECT_EQ(WorkerPool::create(iso, 2), nullptr);
+  SandboxOptions sandbox;
+  sandbox.argv = {"/nonexistent/tunekit_worker_that_is_not_there"};
+  EXPECT_EQ(WorkerPool::create(sandbox, 2), nullptr);
 }
 
 TEST(ProcessSandbox, RealWorkerEvaluatesSynthApp) {
   REQUIRE_SANDBOX();
-  robust::IsolationOptions iso;
-  iso.mode = robust::IsolationMode::Process;
-  iso.sandbox.argv = {TUNEKIT_WORKER_BIN, "--app", "synth:case1", "--seed", "7"};
-  auto pool = WorkerPool::create(iso, 1);
+  SandboxOptions sandbox;
+  sandbox.argv = {TUNEKIT_WORKER_BIN, "--app", "synth:case1", "--seed", "7"};
+  auto pool = WorkerPool::create(sandbox, 1);
   ASSERT_NE(pool, nullptr);
   // synth:case1's space defaults are a valid config of the right arity.
   core::AppBundle bundle = core::make_builtin_app("synth:case1", 7);
@@ -245,22 +237,13 @@ TEST(ProcessSandbox, RealWorkerEvaluatesSynthApp) {
 
 TEST(ProcessSandbox, RealWorkerRejectsWrongArity) {
   REQUIRE_SANDBOX();
-  robust::IsolationOptions iso;
-  iso.mode = robust::IsolationMode::Process;
-  iso.sandbox.argv = {TUNEKIT_WORKER_BIN, "--app", "synth:case1", "--seed", "7"};
-  auto pool = WorkerPool::create(iso, 1);
+  SandboxOptions sandbox;
+  sandbox.argv = {TUNEKIT_WORKER_BIN, "--app", "synth:case1", "--seed", "7"};
+  auto pool = WorkerPool::create(sandbox, 1);
   ASSERT_NE(pool, nullptr);
   const SandboxResult r = pool->evaluate({1.0}, 30.0);
   EXPECT_EQ(r.outcome, EvalOutcome::InvalidConfig);
   EXPECT_FALSE(r.worker_died);  // polite protocol-level rejection
-}
-
-TEST(IsolationMode, StringRoundTrip) {
-  EXPECT_EQ(robust::isolation_from_string("thread"), robust::IsolationMode::Thread);
-  EXPECT_EQ(robust::isolation_from_string("process"), robust::IsolationMode::Process);
-  EXPECT_STREQ(robust::to_string(robust::IsolationMode::Thread), "thread");
-  EXPECT_STREQ(robust::to_string(robust::IsolationMode::Process), "process");
-  EXPECT_THROW(robust::isolation_from_string("container"), std::invalid_argument);
 }
 
 TEST(CrashQuarantine, ThresholdAndRestore) {

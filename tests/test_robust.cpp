@@ -121,7 +121,6 @@ class SlowObjective final : public search::Objective {
 
 TEST(Watchdog, TrivialOptionsRunInline) {
   Watchdog dog;
-  EXPECT_TRUE(dog.trivial());
   search::FunctionObjective obj([](const search::Config& c) { return c[0] * 2.0; });
   const auto r = dog.evaluate(obj, {3.0});
   EXPECT_EQ(r.outcome, EvalOutcome::Ok);
@@ -155,7 +154,6 @@ TEST(Watchdog, TimesOutAndCancelsHungEvaluation) {
   WatchdogOptions opts;
   opts.timeout_seconds = 0.05;
   Watchdog dog(opts);
-  EXPECT_FALSE(dog.trivial());
 
   SlowObjective slow(30.0);  // would run half a minute without the watchdog
   const auto start = std::chrono::steady_clock::now();
@@ -350,19 +348,6 @@ TEST(RobustMeasurer, RegionsAveragedOverKeptSamples) {
   EXPECT_DOUBLE_EQ(m.regions.total, m.value);
   EXPECT_GT(m.region_dispersion.at("a"), 0.0);
   EXPECT_DOUBLE_EQ(m.region_dispersion.at("b"), 0.0);
-}
-
-TEST(MeasureOptions, TrivialityDetection) {
-  EXPECT_TRUE(is_trivial(MeasureOptions{}));
-  MeasureOptions repeats;
-  repeats.repeats = 3;
-  EXPECT_FALSE(is_trivial(repeats));
-  MeasureOptions timeout;
-  timeout.watchdog.timeout_seconds = 1.0;
-  EXPECT_FALSE(is_trivial(timeout));
-  MeasureOptions retries;
-  retries.watchdog.max_retries = 2;
-  EXPECT_FALSE(is_trivial(retries));
 }
 
 // --- Fault injection ---

@@ -84,18 +84,14 @@ TEST(SandboxAcceptance, MethodologySurvivesChaosWithIdenticalPartition) {
 
   // Chaos run: every evaluation goes through a worker that segfaults on 10%
   // of configurations and hangs on another 5%.
-  auto opt = base_options();
-  opt.sensitivity.measure.watchdog.timeout_seconds = 0.2;  // pool deadline
-  opt.executor.measure.watchdog.timeout_seconds = 0.2;
-  opt.executor.isolation.mode = robust::IsolationMode::Process;
   const auto pool = make_chaos_pool("synth:case3", 2, "0.10", "0.05", "1");
-  opt.executor.isolation.pool = pool;
+  robust::SandboxedApp sandboxed(*bundle.app, pool, /*deadline_seconds=*/0.2);
 
   // If a worker crash or hang escaped containment this call would throw
   // (or kill the test process outright) — completing it is the acceptance
   // criterion.
-  core::Methodology chaotic(opt);
-  const auto result = chaotic.run(*bundle.app);
+  core::Methodology chaotic(base_options());
+  const auto result = chaotic.run(sandboxed);
 
   // The run completed and produced a usable result.
   EXPECT_FALSE(result.plan.searches.empty());
@@ -138,11 +134,10 @@ TEST(SandboxAcceptance, SchedulerClassifiesEveryChaosFailure) {
   service::SchedulerOptions opt;
   opt.n_threads = 2;
   opt.measure.watchdog.timeout_seconds = 0.2;
-  opt.isolation.mode = robust::IsolationMode::Process;
   const auto pool = make_chaos_pool("synth:case1", 2, "0.15", "0.05", "7");
-  opt.isolation.pool = pool;
+  opt.backend = pool;
 
-  // The in-process objective is a decoy: with isolation active every
+  // The in-process objective is a decoy: with a backend set every
   // evaluation must go to the pool instead. Throwing proves it is never hit.
   class NeverCalled final : public search::Objective {
    public:
@@ -177,15 +172,36 @@ TEST(SandboxAcceptance, SchedulerClassifiesEveryChaosFailure) {
   EXPECT_GT(failed, 0u);
 }
 
+TEST(SandboxAcceptance, EveryPhaseDispatchesThroughTheSharedPool) {
+  REQUIRE_SANDBOX();
+  const auto bundle = core::make_builtin_app("synth:case3", 42);
+
+  // One repeat, no retries: each counted observation is exactly one
+  // evaluation, so the pool's dispatch count must match the methodology's
+  // own accounting. A phase that evaluated in process would leave a gap.
+  auto opt = base_options();
+  opt.importance_samples = 20;
+  const auto pool = make_chaos_pool("synth:case3", 2, "0.10", "0.05", "1");
+  robust::SandboxedApp sandboxed(*bundle.app, pool, /*deadline_seconds=*/0.2);
+
+  core::Methodology m(opt);
+  const auto result = m.run(sandboxed);
+
+  ASSERT_GT(result.analysis.importance.size(), 0u);
+  const auto& s = pool->stats();
+  EXPECT_EQ(s.dispatched.load() + s.quarantine_hits.load(),
+            result.analysis.observations + result.execution.total_evaluations);
+}
+
 TEST(SandboxAcceptance, DegradesToInProcessWhenWorkerMissing) {
   const auto bundle = core::make_builtin_app("synth:case3", 42);
-  auto opt = base_options();
-  opt.executor.isolation.mode = robust::IsolationMode::Process;
-  opt.executor.isolation.sandbox.argv = {"/nonexistent/tunekit_worker"};
+  robust::SandboxOptions sandbox;
+  sandbox.argv = {"/nonexistent/tunekit_worker"};
 
   // Pool creation fails, a warning is logged, and the run completes on the
   // in-process path — isolation is an upgrade, never a new failure mode.
-  core::Methodology m(opt);
+  ASSERT_EQ(robust::WorkerPool::create(sandbox, 1), nullptr);
+  core::Methodology m(base_options());
   const auto result = m.run(*bundle.app);
   EXPECT_GT(result.execution.total_evaluations, 0u);
   EXPECT_FALSE(result.plan.searches.empty());

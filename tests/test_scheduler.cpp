@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <map>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -15,6 +16,14 @@
 
 namespace tunekit::service {
 namespace {
+
+/// `n` worker threads asking `n` candidates per batch.
+SchedulerOptions workers(std::size_t n) {
+  SchedulerOptions opt;
+  opt.n_threads = n;
+  opt.batch_size = n;
+  return opt;
+}
 
 search::SearchSpace two_dim_space() {
   search::SearchSpace s;
@@ -82,7 +91,7 @@ TEST(EvalScheduler, NoLostOrDuplicateEvaluations) {
   TuningSession session(space, opt);
 
   CountingObjective objective;
-  EvalScheduler scheduler({/*n_threads=*/8, /*batch_size=*/8, {}});
+  EvalScheduler scheduler(workers(8));
   const auto result = scheduler.run(session, objective);
 
   // Budget is consumed exactly: every candidate evaluated once, none lost,
@@ -107,7 +116,7 @@ TEST(EvalScheduler, CrashingEvaluationsAreRetried) {
   TuningSession session(space, opt);
 
   FlakyObjective objective;
-  EvalScheduler scheduler({4, 4, {}});
+  EvalScheduler scheduler(workers(4));
   const auto result = scheduler.run(session, objective);
 
   // Every candidate crashed once then succeeded on retry — all 16 recorded.
@@ -132,7 +141,7 @@ TEST(EvalScheduler, AlwaysCrashingConfigsDropAtPenalty) {
     bool thread_safe() const override { return true; }
   } objective;
 
-  EvalScheduler scheduler({2, 2, {}});
+  EvalScheduler scheduler(workers(2));
   const auto result = scheduler.run(session, objective);
   // Attempts exhausted for every candidate; budget fully consumed by drops.
   EXPECT_EQ(session.completed(), 6u);
@@ -162,7 +171,7 @@ TEST(EvalScheduler, NonThreadSafeObjectiveForcedSequential) {
     std::atomic<int> in_flight_{0};
   } objective;
 
-  EvalScheduler scheduler({8, 8, {}});
+  EvalScheduler scheduler(workers(8));
   const auto result = scheduler.run(session, objective);
   EXPECT_EQ(result.evaluations, 8u);
 }
@@ -179,7 +188,7 @@ TEST(EvalScheduler, ParallelFasterThanSequentialOnSlowObjective) {
   {
     TuningSession session(space, opt);
     CountingObjective objective(sleep_ms);
-    EvalScheduler scheduler({1, 1, {}});
+    EvalScheduler scheduler(workers(1));
     scheduler.run(session, objective);
   }
   const double sequential = w1.seconds();
@@ -188,7 +197,7 @@ TEST(EvalScheduler, ParallelFasterThanSequentialOnSlowObjective) {
   {
     TuningSession session(space, opt);
     CountingObjective objective(sleep_ms);
-    EvalScheduler scheduler({8, 8, {}});
+    EvalScheduler scheduler(workers(8));
     scheduler.run(session, objective);
   }
   const double parallel = w8.seconds();
@@ -214,7 +223,7 @@ TEST(EvalScheduler, NonStandardThrowClassifiedAsCrash) {
     bool thread_safe() const override { return true; }
   } objective;
 
-  EvalScheduler scheduler({2, 2, {}});
+  EvalScheduler scheduler(workers(2));
   scheduler.run(session, objective);
   EXPECT_EQ(session.completed(), 4u);
   for (const auto& e : session.evaluations()) {
@@ -270,19 +279,26 @@ TEST(EvalScheduler, RepeatedMeasurementTellsDispersion) {
   opt.backend = SessionBackend::Random;
   TuningSession session(space, opt);
 
-  // Deterministic per-call jitter around the sphere value: repeats of one
-  // config disagree slightly, so the session learns a dispersion.
+  // Deterministic jitter around the sphere value, keyed by the repeat index
+  // of each config: its three repeats always read 1.00x, 1.02x and 1.04x,
+  // whatever the interleaving across workers, so every evaluation has a
+  // nonzero dispersion.
   class JitteryObjective final : public search::Objective {
    public:
     double evaluate(const search::Config& c) override {
-      const auto k = calls_.fetch_add(1, std::memory_order_relaxed);
-      const double jitter = 1.0 + 0.02 * static_cast<double>(k % 3);
+      std::size_t repeat = 0;
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        repeat = repeats_[c]++;
+      }
+      const double jitter = 1.0 + 0.02 * static_cast<double>(repeat % 3);
       return (1.0 + c[0] * c[0] + c[1] * c[1]) * jitter;
     }
     bool thread_safe() const override { return true; }
 
    private:
-    std::atomic<std::size_t> calls_{0};
+    std::mutex mutex_;
+    std::map<search::Config, std::size_t> repeats_;
   } objective;
 
   SchedulerOptions sched;

@@ -369,44 +369,62 @@ bool parse_args(int argc, char** argv, CliArgs& args) {
 }
 
 // Validate the isolation flag combination (before any work happens) and
-// translate it into IsolationOptions. Conflicting flags are hard errors, not
-// warnings: a user who passed --mem-limit-mb expects the cap to be enforced,
-// and silently ignoring it under thread isolation would be worse than
-// refusing to run.
-robust::IsolationOptions make_isolation(const CliArgs& args, const char* argv0) {
-  robust::IsolationOptions iso;
-  if (!args.isolate.empty()) {
-    try {
-      iso.mode = robust::isolation_from_string(args.isolate);
-    } catch (const std::invalid_argument& e) {
-      throw UsageError(e.what());
-    }
+// report whether --isolate process was asked for. Conflicting flags are hard
+// errors, not warnings: a user who passed --mem-limit-mb expects the cap to
+// be enforced, and silently ignoring it under thread isolation would be
+// worse than refusing to run.
+bool process_isolation(const CliArgs& args) {
+  if (args.isolate == "process") return true;
+  if (!args.isolate.empty() && args.isolate != "thread") {
+    throw UsageError("unknown isolation mode '" + args.isolate +
+                     "' (expected thread or process)");
   }
-  if (iso.mode != robust::IsolationMode::Process) {
-    if (!args.worker_bin.empty()) {
-      throw UsageError(
-          "--worker-bin requires --isolate process (worker binaries are only "
-          "used by the process sandbox)");
-    }
-    if (args.mem_limit_mb >= 0.0) {
-      throw UsageError(
-          "--mem-limit-mb requires --isolate process (thread isolation cannot "
-          "enforce a per-evaluation memory cap)");
-    }
-    return iso;
+  if (!args.worker_bin.empty()) {
+    throw UsageError(
+        "--worker-bin requires --isolate process (worker binaries are only "
+        "used by the process sandbox)");
   }
-  if (args.mem_limit_mb >= 0.0) iso.sandbox.mem_limit_mb = args.mem_limit_mb;
+  if (args.mem_limit_mb >= 0.0) {
+    throw UsageError(
+        "--mem-limit-mb requires --isolate process (thread isolation cannot "
+        "enforce a per-evaluation memory cap)");
+  }
+  return false;
+}
+
+// Worker process settings: --worker-bin (default: the tunekit_worker built
+// next to this executable) serving --app, capped at --mem-limit-mb.
+robust::SandboxOptions worker_sandbox(const CliArgs& args, const char* argv0) {
+  robust::SandboxOptions sandbox;
   std::string bin = args.worker_bin;
   if (bin.empty()) {
-    // Default: the tunekit_worker built next to this executable.
     bin = (std::filesystem::path(argv0).parent_path() / "tunekit_worker").string();
   }
-  iso.sandbox.argv = {bin, "--app", args.app, "--seed", std::to_string(args.seed)};
-  return iso;
+  sandbox.argv = {bin, "--app", args.app, "--seed", std::to_string(args.seed)};
+  if (args.mem_limit_mb >= 0.0) sandbox.mem_limit_mb = args.mem_limit_mb;
+  return sandbox;
+}
+
+// --isolate process for analyze/plan/tune: wrap the app once, so that every
+// phase (sensitivity, importance samples, searches) evaluates in one shared
+// pool of worker processes. The pool's SIGKILL deadline replaces the
+// in-process watchdog. Null when the pool cannot start (create() warns); the
+// run then stays in process.
+std::unique_ptr<robust::SandboxedApp> sandbox_app(const CliArgs& args, const char* argv0,
+                                                  core::TunableApp& app,
+                                                  core::MethodologyOptions& opt,
+                                                  obs::Telemetry* telemetry) {
+  auto pool = robust::WorkerPool::create(worker_sandbox(args, argv0),
+                                         opt.executor.n_threads,
+                                         /*quarantine_after=*/2, telemetry);
+  if (!pool) return nullptr;
+  const double inf = std::numeric_limits<double>::infinity();
+  opt.sensitivity.measure.watchdog.timeout_seconds = inf;
+  opt.executor.measure.watchdog.timeout_seconds = inf;
+  return std::make_unique<robust::SandboxedApp>(app, std::move(pool), args.eval_timeout);
 }
 
 core::MethodologyOptions make_options(const CliArgs& args, const core::AppBundle& bundle,
-                                      const robust::IsolationOptions& iso,
                                       obs::Telemetry* telemetry) {
   core::MethodologyOptions opt;
   opt.cutoff = args.cutoff >= 0.0 ? args.cutoff : bundle.default_cutoff;
@@ -437,8 +455,6 @@ core::MethodologyOptions make_options(const CliArgs& args, const core::AppBundle
   measure.watchdog.backoff_seconds = args.eval_retries > 0 ? 0.05 : 0.0;
   opt.sensitivity.measure = measure;
   opt.executor.measure = measure;
-  opt.sensitivity.isolation = iso;
-  opt.executor.isolation = iso;
   opt.telemetry = telemetry;
   return opt;
 }
@@ -1015,12 +1031,7 @@ int cmd_fleet_node(const CliArgs& args, const char* argv0,
   opt.chaos_mute_after_s = args.chaos_mute_s;
   opt.spin_ms = args.spin_ms;
   opt.telemetry = telemetry;
-  std::string bin = args.worker_bin;
-  if (bin.empty()) {
-    bin = (std::filesystem::path(argv0).parent_path() / "tunekit_worker").string();
-  }
-  opt.sandbox.argv = {bin, "--app", args.app, "--seed", std::to_string(args.seed)};
-  if (args.mem_limit_mb >= 0.0) opt.sandbox.mem_limit_mb = args.mem_limit_mb;
+  opt.sandbox = worker_sandbox(args, argv0);
 
   fleet::NodeAgent agent(opt);
   g_node_agent = &agent;
@@ -1537,12 +1548,18 @@ int main(int argc, char** argv) {
       }
     } else {
       core::AppBundle bundle = core::make_builtin_app(args.app, args.seed);
-      const auto iso = make_isolation(args, argv[0]);
-      const auto opt = make_options(args, bundle, iso, tel);
-      if (args.command == "info") rc = cmd_info(*bundle.app);
-      else if (args.command == "analyze") rc = cmd_analyze(*bundle.app, opt, args.dot);
-      else if (args.command == "plan") rc = cmd_plan(*bundle.app, opt);
-      else if (args.command == "tune") rc = cmd_tune(*bundle.app, opt);
+      const bool isolate = process_isolation(args);
+      auto opt = make_options(args, bundle, tel);
+      std::unique_ptr<robust::SandboxedApp> sandboxed;
+      if (isolate && (args.command == "analyze" || args.command == "plan" ||
+                      args.command == "tune")) {
+        sandboxed = sandbox_app(args, argv[0], *bundle.app, opt, tel);
+      }
+      core::TunableApp& app = sandboxed ? *sandboxed : *bundle.app;
+      if (args.command == "info") rc = cmd_info(app);
+      else if (args.command == "analyze") rc = cmd_analyze(app, opt, args.dot);
+      else if (args.command == "plan") rc = cmd_plan(app, opt);
+      else if (args.command == "tune") rc = cmd_tune(app, opt);
       else if (args.command == "session") rc = cmd_session(*bundle.app, args, tel);
       else {
         std::fprintf(stderr, "unknown command '%s'\n", args.command.c_str());
