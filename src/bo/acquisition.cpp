@@ -9,6 +9,13 @@
 
 namespace tunekit::bo {
 
+namespace {
+
+/// Accepted candidates scored per predict_batch call.
+constexpr std::size_t kScoreBlock = 64;
+
+}  // namespace
+
 const char* to_string(AcquisitionKind kind) {
   switch (kind) {
     case AcquisitionKind::ExpectedImprovement: return "ei";
@@ -56,17 +63,16 @@ std::vector<double> maximize_acquisition(
     return acquisition_score(kind, pred.mean, pred.stddev(), best_value, params);
   };
 
-  std::vector<double> best_point;
-  double best_score = -std::numeric_limits<double>::infinity();
-
   const std::size_t n_local =
       incumbent_unit.empty()
           ? 0
           : static_cast<std::size_t>(options.local_fraction *
                                      static_cast<double>(options.n_candidates));
 
+  // Draw every candidate first, in rng order, keeping the accepted ones.
+  linalg::Matrix accepted(options.n_candidates, d);
+  std::size_t n_accepted = 0;
   std::vector<double> candidate(d);
-  std::size_t accepted = 0;
   for (std::size_t c = 0; c < options.n_candidates; ++c) {
     if (c < n_local) {
       for (std::size_t k = 0; k < d; ++k) {
@@ -77,11 +83,24 @@ std::vector<double> maximize_acquisition(
       for (std::size_t k = 0; k < d; ++k) candidate[k] = rng.uniform();
     }
     if (accept && !accept(candidate)) continue;
-    ++accepted;
-    const double s = score_at(candidate);
-    if (s > best_score) {
-      best_score = s;
-      best_point = candidate;
+    std::copy(candidate.begin(), candidate.end(), accepted.row_ptr(n_accepted++));
+  }
+
+  // Score them a block at a time and keep the first strict maximum.
+  std::vector<double> best_point;
+  double best_score = -std::numeric_limits<double>::infinity();
+  for (std::size_t b0 = 0; b0 < n_accepted; b0 += kScoreBlock) {
+    const std::size_t rows = std::min(kScoreBlock, n_accepted - b0);
+    linalg::Matrix block(rows, d);
+    std::copy(accepted.row_ptr(b0), accepted.row_ptr(b0) + rows * d, block.data());
+    const auto preds = gp.predict_batch(block);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double s =
+          acquisition_score(kind, preds[r].mean, preds[r].stddev(), best_value, params);
+      if (s > best_score) {
+        best_score = s;
+        best_point.assign(block.row_ptr(r), block.row_ptr(r) + d);
+      }
     }
   }
 
@@ -108,7 +127,6 @@ std::vector<double> maximize_acquisition(
       best_point = res.x;
     }
   }
-  (void)accepted;
   return best_point;
 }
 

@@ -44,7 +44,9 @@ struct AcquisitionMaximizerOptions {
 /// Maximize the acquisition over the unit cube; `incumbent_unit` may be
 /// empty (no local candidates then). `accept` filters candidates (constraint
 /// feasibility after decoding); refined points failing `accept` fall back to
-/// the best accepted candidate. Returns the chosen unit-cube point.
+/// the best accepted candidate. All candidates are drawn first, then scored
+/// in blocks through GaussianProcess::predict_batch; the first candidate
+/// with the strictly highest score wins. Returns the chosen unit-cube point.
 std::vector<double> maximize_acquisition(
     const GaussianProcess& gp, AcquisitionKind kind, const AcquisitionParams& params,
     double best_value, const std::vector<double>& incumbent_unit, tunekit::Rng& rng,

@@ -31,8 +31,7 @@ AdditiveGp::AdditiveGp(std::vector<std::vector<std::size_t>> groups, KernelKind 
   lengthscale_.assign(groups_.size(), 0.3);
 }
 
-double AdditiveGp::group_kernel(std::size_t g, const std::vector<double>& a,
-                                const std::vector<double>& b) const {
+double AdditiveGp::group_kernel(std::size_t g, const double* a, const double* b) const {
   double r2 = 0.0;
   for (std::size_t idx : groups_[g]) {
     const double d = (a[idx] - b[idx]) / lengthscale_[g];
@@ -68,9 +67,9 @@ void AdditiveGp::refit() {
 
   linalg::Matrix gram(n, n);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto xi = x_.row(i);
+    const double* xi = x_.row_ptr(i);
     for (std::size_t j = i; j < n; ++j) {
-      const auto xj = x_.row(j);
+      const double* xj = x_.row_ptr(j);
       double k = 0.0;
       for (std::size_t g = 0; g < groups_.size(); ++g) k += group_kernel(g, xi, xj);
       if (i == j) k += noise_;
@@ -175,9 +174,11 @@ AdditiveGp::Prediction AdditiveGp::predict(const std::vector<double>& point) con
   double k_self = noise_;
   for (std::size_t g = 0; g < groups_.size(); ++g) k_self += signal_[g];
   for (std::size_t i = 0; i < n; ++i) {
-    const auto xi = x_.row(i);
+    const double* xi = x_.row_ptr(i);
     double acc = 0.0;
-    for (std::size_t g = 0; g < groups_.size(); ++g) acc += group_kernel(g, xi, point);
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      acc += group_kernel(g, xi, point.data());
+    }
     k[i] = acc;
   }
   const double mean_std = linalg::dot(k, alpha_);
@@ -196,7 +197,7 @@ AdditiveGp::Prediction AdditiveGp::predict_group(std::size_t g,
   if (g >= groups_.size()) throw std::out_of_range("AdditiveGp::predict_group");
   const std::size_t n = x_.rows();
   std::vector<double> kg(n);
-  for (std::size_t i = 0; i < n; ++i) kg[i] = group_kernel(g, x_.row(i), point);
+  for (std::size_t i = 0; i < n; ++i) kg[i] = group_kernel(g, x_.row_ptr(i), point.data());
   const double mean_std = linalg::dot(kg, alpha_);
   const auto v = linalg::solve_lower(chol_, kg);
   const double var_std = std::max(0.0, signal_[g] - linalg::dot(v, v));

@@ -57,8 +57,8 @@ class AdditiveGp {
   std::size_t dim() const { return dim_; }
 
  private:
-  double group_kernel(std::size_t g, const std::vector<double>& a,
-                      const std::vector<double>& b) const;
+  /// Group g's kernel between two full-dimensional points.
+  double group_kernel(std::size_t g, const double* a, const double* b) const;
   void refit();
 
   std::vector<std::vector<std::size_t>> groups_;

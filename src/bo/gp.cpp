@@ -1,5 +1,6 @@
 #include "bo/gp.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -25,15 +26,17 @@ void GaussianProcess::fit(linalg::Matrix x, std::vector<double> y) {
   if (x.rows() != y.size() || x.rows() == 0) {
     throw std::invalid_argument("GaussianProcess::fit: bad training data");
   }
+  fitted_ = false;
   x_ = std::move(x);
   y_raw_ = std::move(y);
   if (hp_.lengthscales.size() != x_.cols()) {
     hp_ = GpHyperparams::isotropic(x_.cols());
   }
-  refit();
+  refit(kernel_gram(kind_, x_, hp_));
+  finish_fit();
 }
 
-void GaussianProcess::refit() {
+void GaussianProcess::refit(const linalg::Matrix& gram) {
   const std::size_t n = x_.rows();
 
   // Residuals against the prior mean, then standardization.
@@ -53,7 +56,6 @@ void GaussianProcess::refit() {
   y_std_.resize(n);
   for (std::size_t i = 0; i < n; ++i) y_std_[i] = (resid[i] - y_shift_) / y_scale_;
 
-  const linalg::Matrix gram = kernel_gram(kind_, x_, hp_);
   // Jitter escalation before the model is rejected: the quiet ladder
   // (1e-10 → 1e-6) handles ordinary round-off; if the Gram is genuinely
   // rank-deficient — duplicate configs with near-zero noise, exactly what a
@@ -75,6 +77,10 @@ void GaussianProcess::refit() {
   const double logdet = linalg::log_det_from_cholesky(chol_);
   lml_ = -0.5 * quad - 0.5 * logdet -
          0.5 * static_cast<double>(n) * std::log(2.0 * std::numbers::pi);
+}
+
+void GaussianProcess::finish_fit() {
+  chol_t_ = chol_.transposed();
   fitted_ = true;
 }
 
@@ -84,10 +90,13 @@ void GaussianProcess::fit_with_hyperopt(linalg::Matrix x, std::vector<double> y,
   if (x.rows() != y.size() || x.rows() == 0) {
     throw std::invalid_argument("GaussianProcess::fit_with_hyperopt: bad data");
   }
+  fitted_ = false;
   x_ = std::move(x);
   y_raw_ = std::move(y);
   const std::size_t d = x_.cols();
   if (hp_.lengthscales.size() != d) hp_ = GpHyperparams::isotropic(d);
+  // Every trial's Gram matrix comes from these; they are freed on return.
+  const PairDifferences diffs(x_);
 
   // theta = [log sv, log ls_0..d-1, log nv]
   auto unpack = [d](const std::vector<double>& theta) {
@@ -104,7 +113,7 @@ void GaussianProcess::fit_with_hyperopt(linalg::Matrix x, std::vector<double> y,
     hp_ = unpack(theta);
     double value;
     try {
-      refit();
+      refit(kernel_gram(kind_, diffs, hp_));
       value = -lml_;
     } catch (const std::exception&) {
       value = 1e12;  // non-PD Gram even with jitter: reject this region
@@ -155,7 +164,8 @@ void GaussianProcess::fit_with_hyperopt(linalg::Matrix x, std::vector<double> y,
   } else {
     log_warn("GP hyperopt failed to find a PD model; keeping previous hyperparameters");
   }
-  refit();
+  refit(kernel_gram(kind_, diffs, hp_));
+  finish_fit();
 }
 
 GaussianProcess::LooDiagnostics GaussianProcess::leave_one_out() const {
@@ -201,21 +211,41 @@ GaussianProcess::LooDiagnostics GaussianProcess::leave_one_out() const {
 }
 
 GaussianProcess::Prediction GaussianProcess::predict(const std::vector<double>& point) const {
+  linalg::Matrix one(1, point.size());
+  std::copy(point.begin(), point.end(), one.row_ptr(0));
+  return predict_batch(one).front();
+}
+
+std::vector<GaussianProcess::Prediction> GaussianProcess::predict_batch(
+    const linalg::Matrix& points) const {
   if (!fitted_) throw std::runtime_error("GaussianProcess::predict before fit");
-  if (point.size() != x_.cols()) {
+  if (points.cols() != x_.cols()) {
     throw std::invalid_argument("GaussianProcess::predict: dimension mismatch");
   }
-  const std::vector<double> k = kernel_cross(kind_, x_, point, hp_);
-  const double mean_std = linalg::dot(k, alpha_);
-  const std::vector<double> v = linalg::solve_lower(chol_, k);
+  const std::size_t n = x_.rows();
+  const std::size_t m = points.rows();
+  // Row b holds k(X, p_b); the forward solve overwrites it with v_b.
+  linalg::Matrix kv = kernel_cross(kind_, x_, points, hp_);
+  std::vector<double> mean_std(m);
+  for (std::size_t b = 0; b < m; ++b) {
+    const double* k = kv.row_ptr(b);
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) acc += k[i] * alpha_[i];
+    mean_std[b] = acc;
+  }
+  linalg::solve_lower_rows(chol_t_, kv);
   const double k_self = hp_.signal_variance + hp_.noise_variance;
-  const double var_std = std::max(0.0, k_self - linalg::dot(v, v));
-
-  Prediction p;
-  const double prior = prior_mean_ ? prior_mean_(point) : 0.0;
-  p.mean = prior + y_shift_ + y_scale_ * mean_std;
-  p.variance = y_scale_ * y_scale_ * var_std;
-  return p;
+  std::vector<Prediction> out(m);
+  for (std::size_t b = 0; b < m; ++b) {
+    const double* v = kv.row_ptr(b);
+    double vv = 0.0;
+    for (std::size_t i = 0; i < n; ++i) vv += v[i] * v[i];
+    const double var_std = std::max(0.0, k_self - vv);
+    const double prior = prior_mean_ ? prior_mean_(points.row(b)) : 0.0;
+    out[b].mean = prior + y_shift_ + y_scale_ * mean_std[b];
+    out[b].variance = y_scale_ * y_scale_ * var_std;
+  }
+  return out;
 }
 
 }  // namespace tunekit::bo

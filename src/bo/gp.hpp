@@ -9,6 +9,12 @@
 // Training is the classic O(N^3) Cholesky pipeline, which is exactly the
 // cost the paper cites as the reason joint high-dimensional searches need
 // disproportionally many evaluations (bench/perf_gp_scaling measures it).
+// A hyperparameter search computes the training set's pair differences once
+// and builds every trial's Gram matrix from them; the factor is the blocked
+// linalg::cholesky. Prediction scores a block of points at once:
+// predict_batch, of which predict() is the one-point case. Every output is
+// bit-identical to the textbook per-pair, per-point loops: the kernels
+// vectorise across independent elements only and never reassociate a sum.
 
 #include <exception>
 #include <functional>
@@ -53,6 +59,11 @@ class GaussianProcess {
 
   Prediction predict(const std::vector<double>& point) const;
 
+  /// Posterior at every row of `points`: an N×B cross-covariance, means
+  /// Σ_i k_i α_i, one forward solve per point against the factor, variances
+  /// k(x, x) − Σ_i v_i². Each result equals predict() on that row.
+  std::vector<Prediction> predict_batch(const linalg::Matrix& points) const;
+
   /// Log marginal likelihood of the current fit (standardized targets).
   double log_marginal_likelihood() const { return lml_; }
 
@@ -85,7 +96,11 @@ class GaussianProcess {
   double last_jitter() const { return last_jitter_; }
 
  private:
-  void refit();
+  /// Standardize the targets, factor `gram` (the Gram matrix of x_ under
+  /// hp_) and score the fit.
+  void refit(const linalg::Matrix& gram);
+  /// Make the last refit the model that predicts.
+  void finish_fit();
 
   KernelKind kind_;
   GpHyperparams hp_;
@@ -98,6 +113,9 @@ class GaussianProcess {
   double y_scale_ = 1.0;
 
   linalg::Matrix chol_;
+  /// chol_ transposed (column k of the factor contiguous), the form
+  /// linalg::solve_lower_rows takes in predict_batch.
+  linalg::Matrix chol_t_;
   std::vector<double> alpha_;
   double lml_ = 0.0;
   double last_jitter_ = 0.0;

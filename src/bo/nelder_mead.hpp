@@ -1,8 +1,11 @@
 #pragma once
 // Nelder-Mead downhill simplex, used (a) to maximize acquisition functions
 // inside the unit cube and (b) to optimize GP hyperparameters against the
-// log marginal likelihood. Derivative-free on purpose: neither surface has
-// cheap exact gradients in our setting.
+// log marginal likelihood. Derivative-free: the acquisition surface (with
+// its feasibility filter and clamped box) has no cheap exact gradient. The
+// LML does, ½·tr((ααᵀ − K⁻¹)·∂K/∂θ), from the factor and the cached pair
+// differences; a gradient-driven hyperparameter search is an open item, and
+// it would change which hyperparameters are found.
 
 #include <functional>
 #include <vector>

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -27,7 +28,6 @@
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
-#include <csignal>
 #include <unistd.h>
 #endif
 
@@ -35,6 +35,11 @@
 #include "core/app_registry.hpp"
 #include "robust/outcome.hpp"
 #include "robust/watchdog.hpp"
+
+// Built with AddressSanitizer, ASan's own SEGV handler would catch
+// --chaos-segv's SIGSEGV and exit with code 1; the supervisor must see the
+// signal death instead.
+extern "C" const char* __asan_default_options() { return "handle_segv=0"; }
 
 namespace {
 
@@ -107,8 +112,10 @@ double chaos_draw(const std::vector<double>& config, std::uint64_t chaos_seed) {
 }
 
 [[noreturn]] void chaos_segfault() {
-  volatile int* p = nullptr;
-  *p = 42;  // real SIGSEGV — the supervisor must see a signal death
+  // A real SIGSEGV — the supervisor must see a signal death. Raised rather
+  // than provoked by a null store, which UBSan would report and turn into
+  // exit code 1.
+  std::raise(SIGSEGV);
   std::abort();
 }
 
