@@ -8,7 +8,8 @@
 //
 // Training is the classic O(N^3) Cholesky pipeline, which is exactly the
 // cost the paper cites as the reason joint high-dimensional searches need
-// disproportionally many evaluations (bench/perf_gp_scaling measures it).
+// disproportionally many evaluations (perfbench's fixed-archive probe
+// measures it).
 // A hyperparameter search computes the training set's pair differences once
 // and builds every trial's Gram matrix from them; the factor is the blocked
 // linalg::cholesky. Prediction scores a block of points at once:

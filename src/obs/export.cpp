@@ -177,6 +177,41 @@ void write_prometheus_text(const MetricsRegistry& metrics, const std::string& pa
   }
 }
 
+ScrapedHistogram parse_prometheus_histogram(const std::string& text,
+                                            const std::string& name) {
+  ScrapedHistogram h;
+  const std::string bucket_prefix = name + "_bucket{le=\"";
+  const std::string count_prefix = name + "_count ";
+  const std::string sum_prefix = name + "_sum ";
+  double cumulative = 0.0;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    try {
+      if (line.rfind(bucket_prefix, 0) == 0) {
+        const std::size_t close = line.find('"', bucket_prefix.size());
+        if (close == std::string::npos) continue;
+        const std::string le =
+            line.substr(bucket_prefix.size(), close - bucket_prefix.size());
+        const std::size_t space = line.find(' ', close);
+        if (space == std::string::npos) continue;
+        // std::stod stops at the first space, before any exemplar suffix.
+        const double cum = std::stod(line.substr(space + 1));
+        if (le != "+Inf") h.bounds.push_back(std::stod(le));
+        h.counts.push_back(cum - cumulative);
+        cumulative = cum;
+      } else if (line.rfind(count_prefix, 0) == 0) {
+        h.count = std::stod(line.substr(count_prefix.size()));
+      } else if (line.rfind(sum_prefix, 0) == 0) {
+        h.sum = std::stod(line.substr(sum_prefix.size()));
+      }
+    } catch (const std::exception&) {
+      continue;  // malformed line; skip rather than lose the whole scrape
+    }
+  }
+  return h;
+}
+
 json::Value metrics_to_json(const MetricsRegistry& metrics) {
   json::Object counters;
   for (const auto& [name, counter] : metrics.counters()) {

@@ -5,6 +5,7 @@
 // trace-tree JSON view (what GET /v1/debug/traces serves).
 
 #include <string>
+#include <vector>
 
 #include "common/json.hpp"
 #include "obs/telemetry.hpp"
@@ -37,6 +38,20 @@ std::string sanitize_metric_name(std::string_view name);
 /// Escape a label value for the text exposition format: backslash, double
 /// quote, and newline become \\, \", and \n.
 std::string escape_label_value(std::string_view value);
+
+/// One histogram read back from Prometheus text exposition — what
+/// `tunekit_cli top` scrapes from /metrics. Malformed lines and OpenMetrics
+/// exemplar suffixes are skipped.
+struct ScrapedHistogram {
+  std::vector<double> bounds;  ///< finite upper bounds, ascending
+  std::vector<double> counts;  ///< per bucket (not cumulative); last = +Inf
+  double count = 0.0;          ///< the _count sample
+  double sum = 0.0;            ///< the _sum sample
+  /// The same estimate the exporting Histogram::quantile gives.
+  double quantile(double q) const { return bucket_quantile(bounds, counts, q); }
+};
+ScrapedHistogram parse_prometheus_histogram(const std::string& text,
+                                            const std::string& name);
 
 /// {"counters": {...}, "gauges": {...}, "histograms": {name: {"bounds": [...],
 /// "counts": [...], "sum": s, "count": n}}}. Counts has bounds.size()+1

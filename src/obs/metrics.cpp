@@ -57,25 +57,33 @@ Histogram::Exemplar Histogram::exemplar(std::size_t i) const {
 }
 
 double Histogram::quantile(double q) const {
-  q = std::clamp(q, 0.0, 1.0);
-  const double total = static_cast<double>(count());
-  if (total == 0.0) return std::numeric_limits<double>::quiet_NaN();
-  if (bounds_.empty()) return std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> counts(buckets_.size());
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    counts[i] = static_cast<double>(bucket_count(i));
+  }
+  return bucket_quantile(bounds_, counts, q);
+}
 
-  const double rank = q * total;
+double bucket_quantile(const std::vector<double>& bounds,
+                       const std::vector<double>& counts, double q) {
+  double total = 0.0;
+  for (double c : counts) total += c;
+  if (total <= 0.0 || bounds.empty()) return std::numeric_limits<double>::quiet_NaN();
+
+  const double rank = std::clamp(q, 0.0, 1.0) * total;
   double cumulative = 0.0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    const double in_bucket = static_cast<double>(bucket_count(i));
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const double in_bucket = counts[i];
     if (cumulative + in_bucket >= rank && in_bucket > 0.0) {
-      if (i >= bounds_.size()) return bounds_.back();  // overflow bucket: clamp
-      const double lo = (i == 0) ? 0.0 : bounds_[i - 1];
-      const double hi = bounds_[i];
+      if (i >= bounds.size()) return bounds.back();  // overflow bucket: clamp
+      const double lo = (i == 0) ? 0.0 : bounds[i - 1];
+      const double hi = bounds[i];
       const double frac = (rank - cumulative) / in_bucket;
       return lo + frac * (hi - lo);
     }
     cumulative += in_bucket;
   }
-  return bounds_.back();
+  return bounds.back();
 }
 
 std::vector<double> default_time_buckets() {

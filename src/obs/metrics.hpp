@@ -71,10 +71,7 @@ class Histogram {
   /// Exemplar for bucket i (empty trace_hex when none was recorded).
   Exemplar exemplar(std::size_t i) const;
 
-  /// Estimated q-quantile (q in [0,1]) by linear interpolation inside the
-  /// bucket holding the target rank — the histogram_quantile() convention.
-  /// The first bucket interpolates from 0; ranks in the overflow bucket clamp
-  /// to the last finite bound. Returns NaN for an empty histogram.
+  /// Estimated q-quantile: bucket_quantile() over this histogram's buckets.
   double quantile(double q) const;
 
  private:
@@ -85,6 +82,16 @@ class Histogram {
   mutable std::mutex exemplar_mutex_;
   std::vector<Exemplar> exemplars_;  ///< lazily sized on first capture
 };
+
+/// Estimated q-quantile (q clamped to [0,1]) of a fixed-bucket histogram by
+/// linear interpolation inside the non-empty bucket holding the target rank —
+/// the histogram_quantile() convention. The first bucket interpolates from 0;
+/// ranks in the overflow bucket clamp to the last finite bound. `counts` are
+/// per bucket, not cumulative: bounds.size() + 1 of them, the last one the
+/// overflow bucket. Returns NaN for an empty histogram. Histogram::quantile
+/// and `tunekit_cli top` (over scraped /metrics buckets) both use this rule.
+double bucket_quantile(const std::vector<double>& bounds,
+                       const std::vector<double>& counts, double q);
 
 /// Bucket bounds suited to latencies from microseconds to minutes.
 std::vector<double> default_time_buckets();

@@ -126,7 +126,7 @@ void EvalDb::save(const std::string& path, common::Io* io) const {
                     io != nullptr ? *io : common::real_io());
 }
 
-EvalDb EvalDb::load(const std::string& path, const SearchSpace& space) {
+EvalDb EvalDb::load(const std::string& path, std::size_t arity) {
   const json::Value root = json::load(path);
   if (!root.contains("format") || root.at("format").as_string() != "tunekit-evaldb-v1") {
     throw std::runtime_error("EvalDb::load: unrecognized checkpoint format in " + path);
@@ -134,7 +134,7 @@ EvalDb EvalDb::load(const std::string& path, const SearchSpace& space) {
   EvalDb db;
   for (const auto& entry : root.at("evaluations").as_array()) {
     const auto& cfg_json = entry.at("config").as_array();
-    if (cfg_json.size() != space.size()) {
+    if (cfg_json.size() != arity) {
       throw std::runtime_error("EvalDb::load: config arity mismatch in " + path);
     }
     Config cfg(cfg_json.size());

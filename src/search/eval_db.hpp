@@ -77,12 +77,15 @@ class EvalDb {
   /// This is the series Figure 6 plots.
   std::vector<double> best_trajectory() const;
 
-  /// Persist to / restore from a JSON snapshot. The space is used to
-  /// validate arity on load; non-conforming entries are rejected with
-  /// std::runtime_error. `io` (null = the real filesystem) routes the
+  /// Persist to / restore from a JSON snapshot. Every config must have
+  /// `arity` entries (the space's size); non-conforming entries are rejected
+  /// with std::runtime_error. `io` (null = the real filesystem) routes the
   /// snapshot write through the fault-injection seam.
   void save(const std::string& path, common::Io* io = nullptr) const;
-  static EvalDb load(const std::string& path, const SearchSpace& space);
+  static EvalDb load(const std::string& path, std::size_t arity);
+  static EvalDb load(const std::string& path, const SearchSpace& space) {
+    return load(path, space.size());
+  }
 
  private:
   mutable std::mutex mutex_;

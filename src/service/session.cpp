@@ -36,39 +36,6 @@ const char* to_string(SessionState state) {
   return "?";
 }
 
-json::Value SessionMetrics::to_json() const {
-  json::Object snap;
-  snap["tells"] = json::Value(tells);
-  snap["fails"] = json::Value(fails);
-  snap["drops"] = json::Value(drops);
-  snap["cost_seconds"] = json::Value(cost_seconds);
-  snap["eval_duration_ms"] = json::Value(eval_duration_ms);
-  snap["wall_seconds"] = json::Value(wall_seconds);
-  if (!failure_outcomes.empty()) {
-    json::Object outcomes;
-    for (const auto& [why, n] : failure_outcomes) outcomes[why] = json::Value(n);
-    snap["outcomes"] = json::Value(std::move(outcomes));
-  }
-  return json::Value(std::move(snap));
-}
-
-SessionMetrics SessionMetrics::from_json(const json::Value& snapshot) {
-  SessionMetrics m;
-  if (!snapshot.is_object()) return m;
-  m.tells = static_cast<std::size_t>(snapshot.number_or("tells", 0.0));
-  m.fails = static_cast<std::size_t>(snapshot.number_or("fails", 0.0));
-  m.drops = static_cast<std::size_t>(snapshot.number_or("drops", 0.0));
-  m.cost_seconds = snapshot.number_or("cost_seconds", 0.0);
-  m.eval_duration_ms = snapshot.number_or("eval_duration_ms", 0.0);
-  m.wall_seconds = snapshot.number_or("wall_seconds", 0.0);
-  if (snapshot.contains("outcomes")) {
-    for (const auto& [why, n] : snapshot.at("outcomes").as_object()) {
-      m.failure_outcomes[why] = static_cast<std::size_t>(n.as_number());
-    }
-  }
-  return m;
-}
-
 namespace {
 
 bo::BoOptions surrogate_options(const SessionOptions& o) {
@@ -160,12 +127,10 @@ std::unique_ptr<TuningSession> TuningSession::resume(const search::SearchSpace& 
       space, std::move(options), SessionStore::append(journal_path, store_options)));
   for (const auto& e : replayed.completed) session->db_.record(e);
   for (auto& c : replayed.in_flight) session->reissue_.push_back(std::move(c));
-  // Session metrics continue from the journaled snapshot: the counters are
-  // cumulative across kill + resume, like the evaluations they describe.
-  if (!replayed.metrics.is_null()) {
-    session->metrics_ = SessionMetrics::from_json(replayed.metrics);
-    session->wall_base_seconds_ = session->metrics_.wall_seconds;
-  }
+  // The replayed counters are exact (snapshot plus the records after it), so
+  // they are cumulative across kill + resume, like the evaluations.
+  session->metrics_ = std::move(replayed.metrics);
+  session->wall_base_seconds_ = session->metrics_.wall_seconds;
   // Quarantine knowledge survives the crash: a configuration that earned its
   // "quar" record is refused immediately, not re-learned two crashes at a
   // time.
@@ -334,6 +299,8 @@ void TuningSession::observe(search::Config config, double value, double cost_sec
     store_->ask(c);
     store_->tell(c.id, value, cost_seconds);
   }
+  ++metrics_.tells;
+  metrics_.cost_seconds += cost_seconds;
   record_locked(c.config, value, cost_seconds, robust::classify_value(value));
 }
 

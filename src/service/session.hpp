@@ -133,26 +133,6 @@ struct SessionOptions {
   std::size_t rotate_bytes = 256 * 1024;
 };
 
-/// Session-level counters journaled as the {"e":"metrics"} snapshot record.
-/// They survive compaction (the record is rewritten) and resume (a restored
-/// session keeps accumulating from the replayed values).
-struct SessionMetrics {
-  std::size_t tells = 0;  ///< successful value reports
-  std::size_t fails = 0;  ///< failed attempts (incl. deadline expiries)
-  std::size_t drops = 0;  ///< candidates recorded at failure_penalty
-  /// Failed attempts by EvalOutcome string ("crashed", "timed-out", ...).
-  std::map<std::string, std::size_t> failure_outcomes;
-  /// Sum of application-reported evaluation costs (seconds).
-  double cost_seconds = 0.0;
-  /// Sum of wall-clock evaluation round trips (milliseconds).
-  double eval_duration_ms = 0.0;
-  /// Session wall-clock seconds (cumulative across resumes).
-  double wall_seconds = 0.0;
-
-  json::Value to_json() const;
-  static SessionMetrics from_json(const json::Value& snapshot);
-};
-
 struct SessionStatus {
   SessionState state = SessionState::Active;
   /// Evaluations recorded (tells + drops).
@@ -214,7 +194,8 @@ class TuningSession {
                     const std::string& worker_node = {});
 
   /// Record an externally-measured observation (e.g. a warm-start point).
-  /// Consumes budget like any other evaluation.
+  /// Consumes budget like any other evaluation and counts as a tell: it is
+  /// journaled as an ask plus a tell.
   void observe(search::Config config, double value, double cost_seconds = 0.0);
 
   /// No further asks; pending candidates are abandoned (still journaled, so

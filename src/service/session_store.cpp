@@ -463,6 +463,39 @@ std::string sniff_first_line(const std::string& path) {
 
 }  // namespace
 
+json::Value SessionMetrics::to_json() const {
+  json::Object snap;
+  snap["tells"] = json::Value(tells);
+  snap["fails"] = json::Value(fails);
+  snap["drops"] = json::Value(drops);
+  snap["cost_seconds"] = json::Value(cost_seconds);
+  snap["eval_duration_ms"] = json::Value(eval_duration_ms);
+  snap["wall_seconds"] = json::Value(wall_seconds);
+  if (!failure_outcomes.empty()) {
+    json::Object outcomes;
+    for (const auto& [why, n] : failure_outcomes) outcomes[why] = json::Value(n);
+    snap["outcomes"] = json::Value(std::move(outcomes));
+  }
+  return json::Value(std::move(snap));
+}
+
+SessionMetrics SessionMetrics::from_json(const json::Value& snapshot) {
+  SessionMetrics m;
+  if (!snapshot.is_object()) return m;
+  m.tells = static_cast<std::size_t>(snapshot.number_or("tells", 0.0));
+  m.fails = static_cast<std::size_t>(snapshot.number_or("fails", 0.0));
+  m.drops = static_cast<std::size_t>(snapshot.number_or("drops", 0.0));
+  m.cost_seconds = snapshot.number_or("cost_seconds", 0.0);
+  m.eval_duration_ms = snapshot.number_or("eval_duration_ms", 0.0);
+  m.wall_seconds = snapshot.number_or("wall_seconds", 0.0);
+  if (snapshot.contains("outcomes")) {
+    for (const auto& [why, n] : snapshot.at("outcomes").as_object()) {
+      m.failure_outcomes[why] = static_cast<std::size_t>(n.as_number());
+    }
+  }
+  return m;
+}
+
 SessionStore::SessionStore(std::FILE* file, std::string path,
                            const Options& options, bool framed,
                            std::uint64_t seq)
@@ -815,12 +848,12 @@ namespace {
 /// Apply journal event records to a Replay (shared by v1 and v2). Structural
 /// records (open/cont/seal/salvage) are skipped. `tolerate_final` preserves
 /// the v1 rule that a malformed *final* record is a torn tail, not an error.
-void apply_events(const std::vector<json::Value>& events,
-                  const search::SearchSpace& space, const std::string& path,
+void apply_events(const std::vector<json::Value>& events, const std::string& path,
                   bool tolerate_final, SessionStore::Replay& out) {
+  const std::size_t arity = out.header.space_size;
   const auto parse_config = [&](const json::Value& entry) {
     const auto& arr = entry.at("config").as_array();
-    if (arr.size() != space.size()) {
+    if (arr.size() != arity) {
       throw std::runtime_error("SessionStore: config arity mismatch in " + path);
     }
     search::Config cfg(arr.size());
@@ -831,8 +864,16 @@ void apply_events(const std::vector<json::Value>& events,
     return cfg;
   };
 
+  const auto node_attempt = [&](const json::Value& v, bool failed, double duration_ms) {
+    if (v.contains("node")) {
+      out.node_attempts.push_back({v.at("node").as_string(), failed, duration_ms});
+    }
+  };
+
   // Pending candidates by id; `fail` keeps them around at attempt + 1 (the
-  // live session queues them for re-issue), `tell`/`drop` resolve them.
+  // live session queues them for re-issue), `tell`/`drop` resolve them. The
+  // live session bumps its counters once per tell, fail and drop record it
+  // writes, and only ever for an open candidate; so does replay.
   std::map<std::uint64_t, Candidate> open;
   std::uint64_t max_id_seen = 0;
   bool any_id = false;
@@ -848,8 +889,10 @@ void apply_events(const std::vector<json::Value>& events,
         continue;
       }
       if (e == "metrics") {
-        // Latest snapshot wins; absent "snap" (foreign writer) is tolerated.
-        if (v.contains("snap")) out.metrics = v.at("snap");
+        // The counters restart from the latest snapshot; the tell, fail and
+        // drop records after it add to them below. An absent "snap" (foreign
+        // writer) is tolerated.
+        if (v.contains("snap")) out.metrics = SessionMetrics::from_json(v.at("snap"));
         continue;
       }
       if (e == "struct") {
@@ -889,14 +932,25 @@ void apply_events(const std::vector<json::Value>& events,
         done.dispersion = v.number_or("noise", 0.0);
         done.duration_ms = v.number_or("dur_ms", 0.0);
         done.worker_slot = static_cast<int>(v.number_or("slot", -1.0));
+        ++out.metrics.tells;
+        out.metrics.cost_seconds += done.cost_seconds;
+        out.metrics.eval_duration_ms += done.duration_ms;
+        node_attempt(v, false, done.duration_ms);
         out.completed.push_back(std::move(done));
         open.erase(it);
       } else if (e == "fail") {
         auto it = open.find(id);
-        if (it != open.end()) ++it->second.attempt;
+        if (it == open.end()) continue;
+        ++it->second.attempt;
+        ++out.metrics.fails;
+        // Seed-era fails carried no "why": a crash, as for drops below.
+        ++out.metrics.failure_outcomes[v.contains("why") ? v.at("why").as_string()
+                                                         : "crashed"];
+        node_attempt(v, true, 0.0);
       } else if (e == "drop") {
         auto it = open.find(id);
         if (it == open.end()) continue;
+        ++out.metrics.drops;
         const double value = v.at("value").is_null()
                                  ? std::numeric_limits<double>::quiet_NaN()
                                  : v.at("value").as_number();
@@ -923,8 +977,7 @@ void apply_events(const std::vector<json::Value>& events,
 
 /// Legacy unframed journals: the seed-era rules, unchanged — a torn final
 /// line is skipped with a warning, corruption anywhere else throws.
-SessionStore::Replay replay_v1(const std::string& path,
-                               const search::SearchSpace& space) {
+SessionStore::Replay replay_v1(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("SessionStore: cannot read '" + path + "'");
   std::vector<std::string> lines;
@@ -937,12 +990,8 @@ SessionStore::Replay replay_v1(const std::string& path,
 
   SessionStore::Replay out;
   out.header = parse_header(json::parse(lines.front()), path);
-  if (out.header.space_size != space.size()) {
-    throw std::runtime_error("SessionStore: journal space size mismatch in " + path);
-  }
   if (!out.header.snapshot.empty()) {
-    const auto db = search::EvalDb::load(out.header.snapshot, space);
-    out.completed = db.all();
+    out.completed = search::EvalDb::load(out.header.snapshot, out.header.space_size).all();
   }
 
   std::vector<json::Value> events;
@@ -963,35 +1012,68 @@ SessionStore::Replay replay_v1(const std::string& path,
       throw std::runtime_error("SessionStore: corrupt journal line in " + path);
     }
   }
-  apply_events(events, space, path, /*tolerate_final=*/true, out);
+  apply_events(events, path, /*tolerate_final=*/true, out);
   return out;
 }
 
 }  // namespace
 
 SessionStore::Replay SessionStore::replay(const std::string& path,
-                                          const search::SearchSpace& space,
                                           const ReplayOptions& options) {
   const std::string first = sniff_first_line(path);
   if (!fs::exists(path)) {
     throw std::runtime_error("SessionStore: cannot read '" + path + "'");
   }
-  if (!first.empty() && first.front() == '{') return replay_v1(path, space);
+  if (!first.empty() && first.front() == '{') return replay_v1(path);
 
   JournalScan scan = scan_v2(path, options.repair, options.telemetry);
   Replay out;
   out.header = scan.header;
   out.salvage = std::move(scan.salvage);
-  if (out.header.space_size != space.size()) {
-    throw std::runtime_error("SessionStore: journal space size mismatch in " + path);
-  }
   if (!out.header.snapshot.empty()) {
-    const auto db = search::EvalDb::load(out.header.snapshot, space);
-    out.completed = db.all();
+    out.completed = search::EvalDb::load(out.header.snapshot, out.header.space_size).all();
   }
   // CRC-valid records cannot be torn — a semantic failure in one is a writer
   // bug and stays fatal everywhere, including the final line.
-  apply_events(scan.records, space, path, /*tolerate_final=*/false, out);
+  apply_events(scan.records, path, /*tolerate_final=*/false, out);
+  return out;
+}
+
+SessionStore::Replay SessionStore::replay(const std::string& path,
+                                          const search::SearchSpace& space,
+                                          const ReplayOptions& options) {
+  Replay out = replay(path, options);
+  if (out.header.space_size != space.size()) {
+    throw std::runtime_error("SessionStore: journal space size mismatch in " + path);
+  }
+  return out;
+}
+
+std::vector<SessionStore::JournalFile> SessionStore::find_journals(
+    const std::string& dir, const std::string& only_id) {
+  constexpr std::string_view kSuffix = ".journal.jsonl";
+  std::vector<JournalFile> out;
+  const auto collect = [&](const fs::path& d) {
+    std::error_code ec;
+    for (fs::directory_iterator it(d, ec), end; !ec && it != end; it.increment(ec)) {
+      if (!it->is_regular_file(ec)) continue;
+      const std::string name = it->path().filename().string();
+      if (name.size() <= kSuffix.size() || !name.ends_with(kSuffix)) continue;
+      std::string id = name.substr(0, name.size() - kSuffix.size());
+      if (!only_id.empty() && id != only_id) continue;
+      out.push_back({std::move(id), it->path().string()});
+    }
+  };
+  collect(dir);
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end; it.increment(ec)) {
+    if (it->is_directory(ec) && it->path().filename().string().starts_with("shard-")) {
+      collect(it->path());
+    }
+  }
+  std::sort(out.begin(), out.end(), [](const JournalFile& a, const JournalFile& b) {
+    return fs::path(a.path) < fs::path(b.path);
+  });
   return out;
 }
 

@@ -87,6 +87,7 @@
 
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -129,6 +130,27 @@ struct JournalHeader {
   /// Segment sequence of the file this header opens (v2): sealed segments
   /// with a lower sequence predate the snapshot and are ignored on replay.
   std::uint64_t seq = 1;
+};
+
+/// Session-level counters journaled as the {"e":"metrics"} snapshot record.
+/// They survive compaction (the record is rewritten) and resume: replay
+/// rebuilds them exactly (see SessionStore::Replay::metrics) and a restored
+/// session keeps accumulating from there.
+struct SessionMetrics {
+  std::size_t tells = 0;  ///< successful value reports (observe() included)
+  std::size_t fails = 0;  ///< failed attempts (incl. deadline expiries)
+  std::size_t drops = 0;  ///< candidates recorded at failure_penalty
+  /// Failed attempts by EvalOutcome string ("crashed", "timed-out", ...).
+  std::map<std::string, std::size_t> failure_outcomes;
+  /// Sum of application-reported evaluation costs (seconds).
+  double cost_seconds = 0.0;
+  /// Sum of wall-clock evaluation round trips (milliseconds).
+  double eval_duration_ms = 0.0;
+  /// Session wall-clock seconds (cumulative across resumes).
+  double wall_seconds = 0.0;
+
+  json::Value to_json() const;
+  static SessionMetrics from_json(const json::Value& snapshot);
 };
 
 /// Thrown by appends after a failed journal fsync: the store is read-only
@@ -189,10 +211,13 @@ class SessionStore {
     /// Configurations quarantined for repeated crashes; a resumed session
     /// must never issue them again.
     std::vector<search::Config> quarantined;
-    /// Latest metrics snapshot in the journal (null Value when none): the
-    /// session-level counters a resumed session continues from, and what
-    /// `tunekit_cli report` aggregates without replaying the evaluations.
-    json::Value metrics;
+    /// Session counters, exact across compaction, rotation and resume: the
+    /// latest metrics snapshot plus every tell, fail and drop record after
+    /// it, counted by the rules the live session follows when it writes them
+    /// (a record for an id that is not open is not counted). wall_seconds is
+    /// the snapshot's. What a resumed session continues from and what
+    /// `tunekit_cli report` prints.
+    SessionMetrics metrics;
     /// Latest dependency-structure snapshot (null Value when none, e.g. a
     /// legacy journal or a session without online structure learning): the
     /// learned affinity matrix + active partition a resumed session's
@@ -202,6 +227,15 @@ class SessionStore {
     /// records for the same key superseding earlier ones): the responses a
     /// resumed session must keep answering retried requests with.
     std::vector<std::pair<std::string, std::string>> rpc_cache;
+    /// One counted tell or fail record that names the fleet node which
+    /// served it. Only records still in the journal are walked, i.e. those
+    /// since the last compaction: the snapshot keeps no node.
+    struct NodeAttempt {
+      std::string node;
+      bool failed = false;
+      double duration_ms = 0.0;
+    };
+    std::vector<NodeAttempt> node_attempts;
     std::uint64_t next_id = 0;
     /// Damage found by this pass (all zeros for a healthy journal).
     SalvageReport salvage;
@@ -232,15 +266,31 @@ class SessionStore {
                                               const Options& options = Options());
 
   /// Parse a journal — sealed segments in sequence order, then the active
-  /// file — following its snapshot reference, if any. Throws
-  /// std::runtime_error on a missing/corrupt header or a config arity
-  /// mismatch against `space`. Damage handling depends on the journal
-  /// format: v2 skips (or, in repair mode, salvages) CRC-invalid records and
-  /// reports them in `Replay::salvage`; legacy v1 keeps the seed-era rules —
-  /// a torn final line is skipped with a warning, corruption anywhere else
-  /// throws.
+  /// file — following its snapshot reference, if any. Configs must have the
+  /// arity the header records. Throws std::runtime_error on a
+  /// missing/corrupt header or an arity mismatch. Damage handling depends on
+  /// the journal format: v2 skips (or, in repair mode, salvages) CRC-invalid
+  /// records and reports them in `Replay::salvage`; legacy v1 keeps the
+  /// seed-era rules — a torn final line is skipped with a warning,
+  /// corruption anywhere else throws. This is the only journal reader:
+  /// resume and `tunekit_cli report` both consume what it returns.
+  static Replay replay(const std::string& path,
+                       const ReplayOptions& options = ReplayOptions());
+  /// As above, and the header must also match `space` (throws otherwise).
   static Replay replay(const std::string& path, const search::SearchSpace& space,
                        const ReplayOptions& options = ReplayOptions());
+
+  /// An active journal found by find_journals().
+  struct JournalFile {
+    std::string id;    ///< file name without ".journal.jsonl"
+    std::string path;
+  };
+  /// Active journals ("<id>.journal.jsonl") in `dir` and its shard-*/
+  /// subdirectories, sorted by path; only `only_id`'s when non-empty.
+  /// Sealed segments are not listed: replay() and fsck() stitch them to
+  /// their active journal.
+  static std::vector<JournalFile> find_journals(const std::string& dir,
+                                                const std::string& only_id = {});
 
   /// Structure-only verification/repair of one journal (no search space
   /// needed). Never throws: problems land in the report.

@@ -1,6 +1,7 @@
 // Telemetry layer tests: metrics registry math, span nesting and cross-thread
 // propagation, exporters, the disabled-path overhead guard, cross-process span
-// stitching against the real tunekit_worker, and the session metrics snapshot
+// stitching against the real tunekit_worker, one histogram-quantile rule for
+// the server and scraped buckets, and the session metrics snapshot
 // surviving journal compaction + resume.
 
 #include <gtest/gtest.h>
@@ -86,6 +87,31 @@ TEST(Metrics, HistogramQuantileMath) {
   first.observe(1.0);
   first.observe(2.0);
   EXPECT_NEAR(first.quantile(0.5), 2.0, 1e-12);  // rank 1 of 2 → 0 + 0.5 * 4
+}
+
+TEST(Metrics, ScrapedHistogramQuantileEqualsTheServers) {
+  // What `top` computes from a scraped /metrics histogram must be the
+  // server's own estimate: two empty leading buckets (where an
+  // upper-bound-on-empty rule would answer 0.001 at q = 0), overflow
+  // samples, and an empty histogram.
+  obs::MetricsRegistry registry;
+  obs::Histogram& h = registry.histogram("tunekit_t_seconds", {0.001, 0.01, 0.1, 1.0});
+  obs::Histogram& empty = registry.histogram("tunekit_e_seconds", {0.001, 0.01});
+  for (double v : {0.05, 0.07, 0.5, 0.9, 0.3, 2.0}) h.observe(v);
+  const std::string text = obs::prometheus_text(registry);
+
+  const obs::ScrapedHistogram scraped =
+      obs::parse_prometheus_histogram(text, "tunekit_t_seconds");
+  EXPECT_EQ(scraped.count, 6.0);
+  EXPECT_EQ(h.quantile(0.0), 0.01);
+  for (double q : {0.0, 0.1, 1.0 / 3.0, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(scraped.quantile(q), h.quantile(q)) << "q=" << q;
+  }
+  const obs::ScrapedHistogram none =
+      obs::parse_prometheus_histogram(text, "tunekit_e_seconds");
+  EXPECT_EQ(none.count, 0.0);
+  EXPECT_TRUE(std::isnan(empty.quantile(0.5)));
+  EXPECT_TRUE(std::isnan(none.quantile(0.5)));
 }
 
 TEST(Metrics, HistogramRejectsBadBounds) {

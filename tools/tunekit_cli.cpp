@@ -60,14 +60,12 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -551,33 +549,8 @@ int cmd_session(core::TunableApp& app, const CliArgs& args, obs::Telemetry* tele
 
 // --- report: offline breakdown from the journals in a checkpoint dir. ---
 
-/// Per-journal aggregate, built by a tolerant line-by-line parse. We do not
-/// go through SessionStore::replay here: journals in one checkpoint dir
-/// belong to different subspace searches (different config arities) and the
-/// report needs no configs — only counts, times, and the metrics snapshots.
-/// Per-fleet-node attribution, rebuilt from the "node" key that tell/fail
-/// records carry when the evaluation ran on a remote fleet node. Durations
-/// are kept raw so the report can interpolate a p99 after folding segments.
-struct NodeStats {
-  std::size_t tells = 0;
-  std::size_t fails = 0;
-  std::vector<double> durations_ms;
-};
-
-struct JournalSummary {
-  std::string name;
-  std::string backend;
-  std::size_t tells = 0;
-  std::size_t fails = 0;
-  std::size_t drops = 0;
-  double cost_seconds = 0.0;
-  double duration_ms = 0.0;
-  std::map<std::string, std::size_t> failure_outcomes;  // from "fail" records
-  std::map<int, std::size_t> slot_tells;                // tells per worker slot
-  std::map<std::string, NodeStats> node_stats;          // keyed by fleet node id
-  json::Value metrics;    // latest {"e":"metrics"} snapshot (null = none)
-  json::Value structure;  // latest {"e":"struct"} snapshot (null = none)
-};
+/// The metrics snapshot a traced `tune` saves next to its search journals.
+constexpr const char* kTelemetryFile = "telemetry.json";
 
 /// Linearly interpolated percentile (q in [0,1]); sorts `values` in place.
 double percentile(std::vector<double>& values, double q) {
@@ -587,65 +560,6 @@ double percentile(std::vector<double>& values, double q) {
   const std::size_t lo = static_cast<std::size_t>(pos);
   const std::size_t hi = std::min(lo + 1, values.size() - 1);
   return values[lo] + (values[hi] - values[lo]) * (pos - static_cast<double>(lo));
-}
-
-JournalSummary summarize_journal(const std::filesystem::path& path) {
-  JournalSummary s;
-  s.name = path.stem().stem().string();  // strip .journal.jsonl
-  // Sealed segments are "<id>.journal.NNNNNN.jsonl": strip the number too so
-  // they merge into the same search's summary.
-  if (const auto dot = s.name.rfind(".journal"); dot != std::string::npos) {
-    s.name.resize(dot);
-  }
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    // v2 journals frame each line as "<8 hex CRC> <json>"; the report only
-    // aggregates, so the payload is taken on faith (fsck checks the CRCs).
-    std::string_view payload = line;
-    if (line.size() > 9 && line[0] != '{' && line[8] == ' ') {
-      payload = std::string_view(line).substr(9);
-    }
-    json::Value rec;
-    try {
-      rec = json::parse(std::string(payload));
-    } catch (const std::exception&) {
-      continue;  // torn tail line from a crash — exactly what replay skips
-    }
-    if (!rec.is_object() || !rec.contains("e")) continue;
-    const std::string& e = rec.at("e").as_string();
-    if (e == "open") {
-      if (rec.contains("backend")) s.backend = rec.at("backend").as_string();
-    } else if (e == "tell") {
-      ++s.tells;
-      s.cost_seconds += rec.number_or("cost", 0.0);
-      s.duration_ms += rec.number_or("dur_ms", 0.0);
-      const int slot = static_cast<int>(rec.number_or("slot", -1.0));
-      if (slot >= 0) ++s.slot_tells[slot];
-      if (rec.contains("node")) {
-        NodeStats& node = s.node_stats[rec.at("node").as_string()];
-        ++node.tells;
-        node.durations_ms.push_back(rec.number_or("dur_ms", 0.0));
-      }
-    } else if (e == "fail") {
-      ++s.fails;
-      const std::string why =
-          rec.contains("why") ? rec.at("why").as_string() : "crashed";
-      ++s.failure_outcomes[why];
-      if (rec.contains("node")) ++s.node_stats[rec.at("node").as_string()].fails;
-    } else if (e == "drop") {
-      ++s.drops;
-    } else if (e == "metrics") {
-      if (rec.contains("snap")) s.metrics = rec.at("snap");
-    } else if (e == "struct") {
-      // Latest dependency-structure snapshot wins, same contract as metrics;
-      // its embedded adoption history covers every earlier repartition, so
-      // compaction never loses the partition trail.
-      if (rec.contains("snap")) s.structure = rec.at("snap");
-    }
-  }
-  return s;
 }
 
 /// "[0 1][2 3][4]" from a snapshot's partition array.
@@ -665,65 +579,34 @@ std::string format_partition(const json::Value& partition) {
   return out;
 }
 
+/// Renders what SessionStore::replay reconstructs from each journal (the
+/// same replay a resumed session starts from), plus the telemetry snapshot.
 int cmd_report(const std::string& dir) {
   if (!std::filesystem::is_directory(dir)) {
     std::fprintf(stderr, "error: --session '%s' is not a directory\n", dir.c_str());
     return 1;
   }
-  std::vector<JournalSummary> sessions;
-  json::Value telemetry_snap;  // from the telemetry journal, if present
-  std::vector<std::filesystem::path> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() > 14 && name.substr(name.size() - 14) == ".journal.jsonl") {
-      files.push_back(entry.path());
+  using service::SessionStore;
+  std::vector<std::pair<std::string, SessionStore::Replay>> searches;
+  for (const auto& journal : SessionStore::find_journals(dir)) {
+    SessionStore::Replay replay;
+    try {
+      replay = SessionStore::replay(journal.path);  // read-only: no repair
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "warning: skipping %s: %s\n", journal.path.c_str(), e.what());
       continue;
     }
-    // Sealed rotation segments: "<id>.journal.NNNNNN.jsonl".
-    const auto pos = name.find(".journal.");
-    if (pos != std::string::npos && name.size() > 6 &&
-        name.substr(name.size() - 6) == ".jsonl") {
-      const std::string middle =
-          name.substr(pos + 9, name.size() - 6 - (pos + 9));
-      if (!middle.empty() &&
-          middle.find_first_not_of("0123456789") == std::string::npos) {
-        files.push_back(entry.path());
-      }
-    }
+    // Older builds saved a traced tune's telemetry as a journal under a fake
+    // session header; it holds no search.
+    if (replay.header.backend == "telemetry") continue;
+    searches.emplace_back(journal.id, std::move(replay));
   }
-  std::sort(files.begin(), files.end());
-  for (const auto& path : files) {
-    JournalSummary s = summarize_journal(path);
-    if (s.backend == "telemetry") {
-      telemetry_snap = s.metrics;
-      continue;
-    }
-    // Segments of one journal share a name (sorted: sealed first, active
-    // last) — fold them into a single per-search summary.
-    if (!sessions.empty() && sessions.back().name == s.name) {
-      JournalSummary& acc = sessions.back();
-      if (acc.backend.empty()) acc.backend = s.backend;
-      acc.tells += s.tells;
-      acc.fails += s.fails;
-      acc.drops += s.drops;
-      acc.cost_seconds += s.cost_seconds;
-      acc.duration_ms += s.duration_ms;
-      for (const auto& [why, n] : s.failure_outcomes) acc.failure_outcomes[why] += n;
-      for (const auto& [slot, n] : s.slot_tells) acc.slot_tells[slot] += n;
-      for (auto& [node, ns] : s.node_stats) {
-        NodeStats& dst = acc.node_stats[node];
-        dst.tells += ns.tells;
-        dst.fails += ns.fails;
-        dst.durations_ms.insert(dst.durations_ms.end(), ns.durations_ms.begin(),
-                                ns.durations_ms.end());
-      }
-      if (!s.metrics.is_null()) acc.metrics = s.metrics;
-      if (!s.structure.is_null()) acc.structure = s.structure;
-    } else {
-      sessions.push_back(std::move(s));
-    }
+  json::Value telemetry_snap;
+  const std::filesystem::path telemetry_path = std::filesystem::path(dir) / kTelemetryFile;
+  if (std::filesystem::exists(telemetry_path)) {
+    telemetry_snap = json::load(telemetry_path.string());
   }
-  if (sessions.empty() && telemetry_snap.is_null()) {
+  if (searches.empty() && telemetry_snap.is_null()) {
     std::fprintf(stderr, "error: no *.journal.jsonl files under '%s'\n", dir.c_str());
     return 1;
   }
@@ -731,47 +614,38 @@ int cmd_report(const std::string& dir) {
   // Per-search breakdown. "fails" are attempts (a candidate retried twice
   // counts two fails); "drops" are candidates that consumed budget at the
   // failure penalty.
-  if (!sessions.empty()) {
+  if (!searches.empty()) {
     Table table({"Search", "Backend", "Tells", "Fails", "Drops", "Cost s",
                  "Eval ms (mean)", "Wall s"});
-    JournalSummary total;
-    double total_wall = 0.0;
-    for (const auto& s : sessions) {
-      const double wall =
-          s.metrics.is_null() ? 0.0 : s.metrics.number_or("wall_seconds", 0.0);
-      table.add_row({s.name, s.backend, std::to_string(s.tells),
-                     std::to_string(s.fails), std::to_string(s.drops),
-                     Table::fmt(s.cost_seconds, 3),
-                     s.tells > 0
-                         ? Table::fmt(s.duration_ms / static_cast<double>(s.tells), 3)
-                         : "-",
-                     wall > 0.0 ? Table::fmt(wall, 3) : "-"});
-      total.tells += s.tells;
-      total.fails += s.fails;
-      total.drops += s.drops;
-      total.cost_seconds += s.cost_seconds;
-      total.duration_ms += s.duration_ms;
-      total_wall += wall;
-      for (const auto& [why, n] : s.failure_outcomes) total.failure_outcomes[why] += n;
-      for (const auto& [slot, n] : s.slot_tells) total.slot_tells[slot] += n;
-      for (const auto& [node, ns] : s.node_stats) {
-        NodeStats& dst = total.node_stats[node];
-        dst.tells += ns.tells;
-        dst.fails += ns.fails;
-        dst.durations_ms.insert(dst.durations_ms.end(), ns.durations_ms.begin(),
-                                ns.durations_ms.end());
+    const auto add_row = [&table](const std::string& name, const std::string& backend,
+                                  const service::SessionMetrics& m) {
+      table.add_row({name, backend, std::to_string(m.tells), std::to_string(m.fails),
+                     std::to_string(m.drops), Table::fmt(m.cost_seconds, 3),
+                     m.tells > 0 ? Table::fmt(m.eval_duration_ms /
+                                                  static_cast<double>(m.tells), 3)
+                                 : "-",
+                     m.wall_seconds > 0.0 ? Table::fmt(m.wall_seconds, 3) : "-"});
+    };
+    service::SessionMetrics total;
+    std::map<int, std::size_t> slot_evals;
+    std::vector<SessionStore::Replay::NodeAttempt> node_attempts;
+    for (const auto& [name, replay] : searches) {
+      const service::SessionMetrics& m = replay.metrics;
+      add_row(name, replay.header.backend, m);
+      total.tells += m.tells;
+      total.fails += m.fails;
+      total.drops += m.drops;
+      total.cost_seconds += m.cost_seconds;
+      total.eval_duration_ms += m.eval_duration_ms;
+      total.wall_seconds += m.wall_seconds;
+      for (const auto& [why, n] : m.failure_outcomes) total.failure_outcomes[why] += n;
+      for (const auto& e : replay.completed) {
+        if (e.worker_slot >= 0) ++slot_evals[e.worker_slot];
       }
+      node_attempts.insert(node_attempts.end(), replay.node_attempts.begin(),
+                           replay.node_attempts.end());
     }
-    if (sessions.size() > 1) {
-      table.add_row({"total", "", std::to_string(total.tells),
-                     std::to_string(total.fails), std::to_string(total.drops),
-                     Table::fmt(total.cost_seconds, 3),
-                     total.tells > 0
-                         ? Table::fmt(total.duration_ms /
-                                          static_cast<double>(total.tells), 3)
-                         : "-",
-                     total_wall > 0.0 ? Table::fmt(total_wall, 3) : "-"});
-    }
+    if (searches.size() > 1) add_row("total", "", total);
     std::cout << "Searches (" << dir << "):\n" << table.str();
 
     if (!total.failure_outcomes.empty()) {
@@ -780,19 +654,21 @@ int cmd_report(const std::string& dir) {
         std::cout << "  " << why << ": " << n << "\n";
       }
     }
-    if (!total.slot_tells.empty()) {
+    if (!slot_evals.empty()) {
       std::cout << "\nEvaluations by worker slot:\n";
-      for (const auto& [slot, n] : total.slot_tells) {
+      for (const auto& [slot, n] : slot_evals) {
         std::cout << "  slot " << slot << ": " << n << "\n";
       }
     }
     // Partition history: the living partition's trail — initial cut, then
     // every adopted repartition with its evidence score and eval index —
-    // reconstructed from the {"e":"struct"} journal records alone.
-    for (const auto& s : sessions) {
-      if (s.structure.is_null() || !s.structure.contains("history")) continue;
-      std::cout << "\nPartition history (" << s.name << "):\n";
-      for (const auto& entry : s.structure.at("history").as_array()) {
+    // from the latest {"e":"struct"} snapshot, whose embedded history
+    // survives compaction.
+    for (const auto& [name, replay] : searches) {
+      const json::Value& structure = replay.structure;
+      if (structure.is_null() || !structure.contains("history")) continue;
+      std::cout << "\nPartition history (" << name << "):\n";
+      for (const auto& entry : structure.at("history").as_array()) {
         const std::string kind =
             entry.contains("kind") ? entry.at("kind").as_string() : "?";
         const auto eval = static_cast<std::size_t>(entry.number_or("eval", 0.0));
@@ -809,30 +685,42 @@ int cmd_report(const std::string& dir) {
                   << "\n";
       }
       const auto since = static_cast<std::size_t>(
-          s.structure.number_or("observations", 0.0) -
-          s.structure.number_or("last_repartition_eval", 0.0));
-      std::cout << "  active: " << format_partition(s.structure.at("partition"))
+          structure.number_or("observations", 0.0) -
+          structure.number_or("last_repartition_eval", 0.0));
+      std::cout << "  active: " << format_partition(structure.at("partition"))
                 << "  (" << since << " evals since last repartition)\n";
     }
-    // Per-fleet-node attribution, reconstructed from journals alone — no
-    // server, no telemetry endpoint; works on any checkpoint dir copied off
-    // a dead machine.
-    if (!total.node_stats.empty()) {
+    // Per-fleet-node attribution from the "node" key of the tell and fail
+    // records still in the journals — no server, no telemetry endpoint;
+    // works on any checkpoint dir copied off a dead machine. Compaction
+    // folds earlier records into a snapshot that keeps no node.
+    if (!node_attempts.empty()) {
+      std::stable_sort(node_attempts.begin(), node_attempts.end(),
+                       [](const auto& a, const auto& b) { return a.node < b.node; });
       Table node_table({"Node", "Evals", "Failures", "p99 ms"});
-      for (auto& [node, ns] : total.node_stats) {
+      for (auto it = node_attempts.begin(); it != node_attempts.end();) {
+        const auto end = std::find_if(it, node_attempts.end(),
+                                      [&](const auto& a) { return a.node != it->node; });
+        std::size_t fails = 0;
+        std::vector<double> durations_ms;
+        for (auto a = it; a != end; ++a) {
+          if (a->failed) ++fails;
+          else durations_ms.push_back(a->duration_ms);
+        }
         node_table.add_row(
-            {node, std::to_string(ns.tells), std::to_string(ns.fails),
-             ns.durations_ms.empty() ? "-"
-                                     : Table::fmt(percentile(ns.durations_ms, 0.99), 3)});
+            {it->node, std::to_string(durations_ms.size()), std::to_string(fails),
+             durations_ms.empty() ? "-" : Table::fmt(percentile(durations_ms, 0.99), 3)});
+        it = end;
       }
-      std::cout << "\nEvaluations by fleet node:\n" << node_table.str();
+      std::cout << "\nEvaluations by fleet node (records since the last compaction):\n"
+                << node_table.str();
     }
   }
 
-  // Phase breakdown: the tunekit_phase_<name>_seconds gauges journaled by a
-  // traced `tune` run (telemetry.journal.jsonl). These are measured by
-  // stopwatches co-located with the phase spans, so the totals here match
-  // the trace within a millisecond.
+  // Phase breakdown: the tunekit_phase_<name>_seconds gauges saved by a
+  // traced `tune` run (telemetry.json). These are measured by stopwatches
+  // co-located with the phase spans, so the totals here match the trace
+  // within a millisecond.
   if (telemetry_snap.is_object() && telemetry_snap.contains("gauges")) {
     const auto& gauges = telemetry_snap.at("gauges").as_object();
     Table table({"Phase", "Time ms"});
@@ -861,51 +749,23 @@ int cmd_report(const std::string& dir) {
 
 // --- fsck: offline journal verification/repair (docs/SERVICE.md). ---
 
-/// Active session journals under `dir` and its shard-*/ subdirectories
-/// (sealed rotation segments belong to their active journal; fsck walks
-/// them itself). Sorted, so output and exit codes are deterministic.
-std::vector<std::filesystem::path> find_journals(const std::string& dir,
-                                                 const std::string& only_id) {
-  std::vector<std::filesystem::path> journals;
-  auto collect = [&](const std::filesystem::path& d) {
-    if (!std::filesystem::is_directory(d)) return;
-    for (const auto& entry : std::filesystem::directory_iterator(d)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string name = entry.path().filename().string();
-      if (name.size() <= 14 || name.substr(name.size() - 14) != ".journal.jsonl") {
-        continue;
-      }
-      if (!only_id.empty() && name != only_id + ".journal.jsonl") continue;
-      journals.push_back(entry.path());
-    }
-  };
-  collect(dir);
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.is_directory() &&
-        entry.path().filename().string().rfind("shard-", 0) == 0) {
-      collect(entry.path());
-    }
-  }
-  std::sort(journals.begin(), journals.end());
-  return journals;
-}
-
 int cmd_fsck(const CliArgs& args) {
   if (!std::filesystem::is_directory(args.journal_dir)) {
     std::fprintf(stderr, "error: --journal-dir '%s' is not a directory\n",
                  args.journal_dir.c_str());
     return 1;
   }
-  const auto journals = find_journals(args.journal_dir, args.session_id);
+  const auto journals =
+      service::SessionStore::find_journals(args.journal_dir, args.session_id);
   if (journals.empty()) {
     std::fprintf(stderr, "error: no *.journal.jsonl files under '%s'\n",
                  args.journal_dir.c_str());
     return 1;
   }
   bool damage_left = false;
-  for (const auto& path : journals) {
-    const auto report = service::SessionStore::fsck(path.string(), args.repair);
-    std::cout << path.string() << ": ";
+  for (const auto& journal : journals) {
+    const auto report = service::SessionStore::fsck(journal.path, args.repair);
+    std::cout << journal.path << ": ";
     if (!report.ok) {
       std::cout << "UNREADABLE (" << report.error << ")\n";
       damage_left = true;
@@ -1076,68 +936,6 @@ int cmd_fleet_drive(const CliArgs& args, obs::Telemetry* telemetry) {
 
 // --- top: polling live view of a serve instance. ---
 
-/// One Prometheus histogram scraped from /metrics text: cumulative bucket
-/// counts by upper bound, plus _count/_sum. Tolerant of exemplar suffixes
-/// ("... # {trace_id=\"...\"} v") — std::stod stops at the first space.
-struct HistogramSnapshot {
-  std::vector<std::pair<double, double>> buckets;  // (le, cumulative count)
-  double count = 0.0;
-  double sum = 0.0;
-
-  /// Standard histogram_quantile() estimate: linear interpolation inside the
-  /// winning bucket; the +Inf bucket reports the last finite bound. 0 when
-  /// the histogram is empty.
-  double quantile(double q) const {
-    if (buckets.empty() || count <= 0.0) return 0.0;
-    const double target = q * count;
-    double prev_bound = 0.0;
-    double prev_cum = 0.0;
-    for (const auto& [bound, cum] : buckets) {
-      if (cum >= target) {
-        if (std::isinf(bound)) return prev_bound;
-        const double width = cum - prev_cum;
-        if (width <= 0.0) return bound;
-        return prev_bound + (bound - prev_bound) * (target - prev_cum) / width;
-      }
-      prev_bound = bound;
-      prev_cum = cum;
-    }
-    return prev_bound;
-  }
-};
-
-HistogramSnapshot parse_histogram(const std::string& text, const std::string& name) {
-  HistogramSnapshot h;
-  const std::string bucket_prefix = name + "_bucket{le=\"";
-  const std::string count_prefix = name + "_count ";
-  const std::string sum_prefix = name + "_sum ";
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    try {
-      if (line.rfind(bucket_prefix, 0) == 0) {
-        const std::size_t close = line.find('"', bucket_prefix.size());
-        if (close == std::string::npos) continue;
-        const std::string le =
-            line.substr(bucket_prefix.size(), close - bucket_prefix.size());
-        const std::size_t space = line.find(' ', close);
-        if (space == std::string::npos) continue;
-        const double bound = (le == "+Inf")
-                                 ? std::numeric_limits<double>::infinity()
-                                 : std::stod(le);
-        h.buckets.emplace_back(bound, std::stod(line.substr(space + 1)));
-      } else if (line.rfind(count_prefix, 0) == 0) {
-        h.count = std::stod(line.substr(count_prefix.size()));
-      } else if (line.rfind(sum_prefix, 0) == 0) {
-        h.sum = std::stod(line.substr(sum_prefix.size()));
-      }
-    } catch (const std::exception&) {
-      continue;  // malformed line; skip rather than kill the whole poll
-    }
-  }
-  return h;
-}
-
 /// One unlabelled gauge/counter sample from /metrics text. Returns NaN when
 /// the metric is absent (e.g. structure learning off — no gauge exported).
 double parse_gauge(const std::string& text, const std::string& name) {
@@ -1155,7 +953,7 @@ double parse_gauge(const std::string& text, const std::string& name) {
   return std::numeric_limits<double>::quiet_NaN();
 }
 
-void render_latency_line(const std::string& label, const HistogramSnapshot& h) {
+void render_latency_line(const std::string& label, const obs::ScrapedHistogram& h) {
   if (h.count <= 0.0) {
     std::printf("  %-14s (no samples)\n", label.c_str());
     return;
@@ -1263,11 +1061,11 @@ int cmd_top(const CliArgs& args) {
 
     std::printf("\nLatency:\n");
     render_latency_line("http request",
-                        parse_histogram(metrics_text, obs::metric::kHttpRequestSeconds));
+                        obs::parse_prometheus_histogram(metrics_text, obs::metric::kHttpRequestSeconds));
     render_latency_line("fleet eval",
-                        parse_histogram(metrics_text, obs::metric::kFleetEvalSeconds));
+                        obs::parse_prometheus_histogram(metrics_text, obs::metric::kFleetEvalSeconds));
     render_latency_line("local eval",
-                        parse_histogram(metrics_text, obs::metric::kEvalSeconds));
+                        obs::parse_prometheus_histogram(metrics_text, obs::metric::kEvalSeconds));
     std::fflush(stdout);
   }
   return 0;
@@ -1584,16 +1382,14 @@ int main(int argc, char** argv) {
         obs::write_prometheus_text(telemetry.metrics(), args.metrics_out);
         log_info("cli: metrics written to ", args.metrics_out);
       }
-      // A traced tune with a checkpoint dir also journals the full metrics
+      // A traced tune with a checkpoint dir also saves the full metrics
       // snapshot (phase gauges included) next to the per-search journals, so
       // `report --session <dir>` reproduces the breakdown offline.
       if (!args.checkpoint_dir.empty() && args.command == "tune") {
         std::filesystem::create_directories(args.checkpoint_dir);
-        service::JournalHeader header;
-        header.backend = "telemetry";
-        auto store = service::SessionStore::create(
-            args.checkpoint_dir + "/telemetry.journal.jsonl", header);
-        store->metrics(obs::metrics_to_json(telemetry.metrics()));
+        json::save_atomic(
+            (std::filesystem::path(args.checkpoint_dir) / kTelemetryFile).string(),
+            obs::metrics_to_json(telemetry.metrics()));
       }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: telemetry export failed: %s\n", e.what());
